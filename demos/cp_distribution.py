@@ -3,14 +3,15 @@
 A conditional Poisson draw picks a fixed-size subset of cells with
 probability proportional to the product of their weights.  Everything
 reduces to elementary symmetric functions R(s, w): inclusion
-probabilities, the exact pmf, and the drafting procedure that samples one
-unit at a time.  This script shows each piece on a small weight vector:
+probabilities, the exact pmf, and the sequential procedure of Chen,
+Dempster & Liu (1994, Biometrika 81:457) that decides item by item in one
+pass.  This script shows each piece on a small weight vector:
 
   1. the R(s, w) table from the add-one-item recurrence,
   2. the exact pmf over all subsets of a given size (and that it sums to 1),
   3. cell success probabilities from line residuals, as used when filling
      one column of a table,
-  4. 20000 drafting draws against the exact pmf (total variation distance).
+  4. 20000 sequential draws against the exact pmf (total variation distance).
 
 Run:  python3 demos/cp_distribution.py
 """
@@ -64,7 +65,7 @@ def main() -> None:
         abs(counts.get(c, 0) / draws - math.exp(cp_log_pmf(w, size, c)))
         for c in combinations(range(len(w)), size)
     )
-    print(f"\n{draws} drafting draws vs the exact pmf: total variation {tv:.4f}")
+    print(f"\n{draws} sequential draws vs the exact pmf: total variation {tv:.4f}")
 
 
 if __name__ == "__main__":

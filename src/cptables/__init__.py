@@ -11,7 +11,6 @@ scale for validation.
 from .cpdist import (
     CPInfeasibleError,
     CPSample,
-    WeightVector,
     cp_draft_sample,
     cp_log_pmf,
     log_esym,
@@ -54,6 +53,7 @@ from .tables import (
     BinaryTable,
     CPTablesError,
     Dims,
+    InvariantError,
     MarginalSet,
     MarginalValidationError,
     SampleOutcome,
@@ -77,6 +77,7 @@ __all__ = [
     "Dims",
     "EnumerationBudgetError",
     "EstimateReport",
+    "InvariantError",
     "MarginalFileError",
     "MarginalSet",
     "MarginalValidationError",
@@ -89,7 +90,6 @@ __all__ = [
     "StructureMasks",
     "TableState",
     "UcinetFormatError",
-    "WeightVector",
     "bootstrap_ci",
     "cp_draft_sample",
     "cp_log_pmf",

@@ -11,9 +11,11 @@ products.  Everything here works from the weights:
     (success_prob_3way / success_prob_multiway) and their odds,
   * R(s, w) via the add-one-item recurrence, never subset enumeration,
   * the exact pmf of a subset, and
-  * the drafting sampler, which draws the subset one unit at a time with
-    step probabilities proportional to w_j * R(s_left, remaining - j) and
-    lands exactly on the CP distribution.
+  * the sequential sampler of Chen, Dempster & Liu (1994, Biometrika
+    81:457), which makes one pass over the items, including item j with
+    probability w_j * R(s-1, items after j) / R(s, items from j), and
+    lands exactly on the CP distribution.  Its log-pmf comes from the same
+    backward R table.
 
 Weights of zero are allowed in the vectors (such items are simply never
 selected).  Dynamic range is handled by normalizing weights to max 1 inside
@@ -22,7 +24,7 @@ the linear recurrences and carrying exact log corrections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -35,37 +37,6 @@ class CPInfeasibleError(CPTablesError):
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """CP weights stored alongside their logs.
-
-    Exists for callers that want to precompute logs once; every function in
-    this module also accepts a plain array-like of weights.
-    """
-
-    w: np.ndarray
-    log_w: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.w, dtype=float))
-        if w.ndim != 1:
-            raise ValueError("weights must be a flat vector")
-        if w.size and w.min() < 0:
-            raise ValueError("weights must be nonnegative")
-        w.flags.writeable = False
-        with np.errstate(divide="ignore"):
-            lw = np.log(w)
-        lw.flags.writeable = False
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "log_w", lw)
-
-    def __array__(self, dtype=None):
-        return self.w if dtype is None else self.w.astype(dtype)
-
-    def __len__(self):
-        return self.w.size
-
-
-@dataclass(frozen=True)
 class CPSample:
     """One drawn subset (sorted item indices) and its exact log pmf."""
 
@@ -74,8 +45,6 @@ class CPSample:
 
 
 def _as_weights(w) -> np.ndarray:
-    if isinstance(w, WeightVector):
-        return w.w
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
         raise ValueError("weights must be a flat vector")
@@ -196,71 +165,60 @@ def cp_log_pmf(w, size: int, subset) -> float:
 
 
 def cp_draft_sample(w, size: int, rng: np.random.Generator) -> CPSample:
-    """Draw one CP subset by drafting: at each step pick one more unit j
-    among the remaining ones with probability proportional to
-    w_j * R(s_left, remaining - {j}), s_left being the units still needed
-    after the pick.  The drawn subset is exactly CP(size, w) distributed;
-    log_prob is the closed-form pmf (independent of the draw order).
+    """Draw one CP subset with the sequential procedure of Chen, Dempster &
+    Liu (1994, Biometrika 81:457).
+
+    One backward pass builds R(t, items j..) for t <= size; one forward pass
+    then includes item j with probability w_j * R(s-1, items j+1..) /
+    R(s, items j..), s being the units still needed, until s reaches 0.
+    The subset is exactly CP(size, w) distributed, and log_prob, the
+    closed-form pmf sum(log w_chosen) - log R(size, w), comes from the
+    same table.  Runs on plain lists: the vectors are short and the call
+    is hot, so one rng.random call is its only numpy work.
     """
-    w = _as_weights(w)
+    try:
+        ws = [float(x) for x in w]
+    except TypeError:
+        raise ValueError("weights must be a flat vector") from None
     size = int(size)
-    if not (0 <= size <= w.size):
-        raise ValueError(f"size must be within 0..{w.size}, got {size}")
-    if int(np.count_nonzero(w > 0)) < size:
-        raise CPInfeasibleError(
-            f"only {int(np.count_nonzero(w > 0))} positive weights, need {size}"
-        )
+    if not (0 <= size <= len(ws)):
+        raise ValueError(f"size must be within 0..{len(ws)}, got {size}")
+    if ws and min(ws) < 0.0:
+        raise ValueError("weights must be nonnegative")
+    # zero-weight items can never be drawn; drop them but keep original ids
+    pos = [j for j, x in enumerate(ws) if x > 0.0]
+    if len(pos) < size:
+        raise CPInfeasibleError(f"only {len(pos)} positive weights, need {size}")
     if size == 0:
         return CPSample((), 0.0)
+    if size == len(pos):
+        return CPSample(tuple(pos), 0.0)
 
-    # zero-weight items can never be drawn; drop them but keep original ids
-    rem = [int(i) for i in np.flatnonzero(w > 0)]
-    ws = (w / float(w[rem].max())).tolist()
+    wmax = max(ws)
+    ws = [ws[j] / wmax for j in pos]
+    k = len(ws)
+    # back[j][t] = R(t, ws[j:]), weights normalized to max 1
+    row = [1.0] + [0.0] * size
+    back = [row] * (k + 1)
+    for j in range(k - 1, -1, -1):
+        wj = ws[j]
+        row = [1.0] + [row[t] + wj * row[t - 1] for t in range(1, size + 1)]
+        back[j] = row
+    if not back[0][size] > 0.0:
+        raise CPInfeasibleError(f"R({size}, w) underflows to zero")
+
+    u = rng.random(k).tolist()
     chosen: list[int] = []
-    for step in range(size):
-        s_left = size - step - 1
-        scores = _deletion_scores(ws, rem, s_left)
-        total = math.fsum(scores)
-        if not (total > 0.0):
-            raise CPInfeasibleError("all drafting scores vanished")
-        u = rng.random() * total
-        acc = 0.0
-        pick = len(rem) - 1
-        for i, sc in enumerate(scores):
-            acc += sc
-            if u < acc:
-                pick = i
+    log_w = 0.0
+    s = size
+    for j in range(k):
+        # once only s items remain, R(s, rest) == 0 exactly and the ratio
+        # is exactly 1, so the pass always ends with s == 0
+        if u[j] * back[j][s] < ws[j] * back[j + 1][s - 1]:
+            chosen.append(pos[j])
+            log_w += math.log(ws[j])
+            s -= 1
+            if s == 0:
                 break
-        chosen.append(rem.pop(pick))
-    return CPSample(tuple(sorted(chosen)), cp_log_pmf(w, size, chosen))
-
-
-def _deletion_scores(ws: list[float], rem: list[int], s: int) -> list[float]:
-    """Unnormalized step scores w_j * R(s, rem - {j}) for every j in rem,
-    computed with one forward and one backward esym sweep (O(len * s))."""
-    k = len(rem)
-    # fwd[i] = esym row (degrees 0..s) of rem[:i]; bwd[i] = row of rem[i+1:]
-    fwd = [None] * (k + 1)
-    row = [0.0] * (s + 1)
-    row[0] = 1.0
-    fwd[0] = row[:]
-    for i in range(k):
-        wi = ws[rem[i]]
-        prev = row[:]
-        for t in range(min(i + 1, s), 0, -1):
-            row[t] = prev[t] + wi * prev[t - 1]
-        fwd[i + 1] = row[:]
-    bwd_next = [0.0] * (s + 1)
-    bwd_next[0] = 1.0
-    scores = [0.0] * k
-    for i in range(k - 1, -1, -1):
-        f = fwd[i]
-        acc = 0.0
-        for t in range(s + 1):
-            acc += f[t] * bwd_next[s - t]
-        scores[i] = ws[rem[i]] * acc
-        wi = ws[rem[i]]
-        prev = bwd_next[:]
-        for t in range(s, 0, -1):
-            bwd_next[t] = prev[t] + wi * prev[t - 1]
-    return scores
+    # float rounding can push a certain event a hair above probability 1
+    return CPSample(tuple(chosen), min(log_w - math.log(back[0][size]), 0.0))

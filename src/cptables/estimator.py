@@ -22,6 +22,10 @@ import numpy as np
 from scipy.special import logsumexp
 
 _BOOTSTRAP_STREAM = 1 << 40  # spawn key; never collides with sample indices
+# replications resampled per numpy call: at most 256, and at most 2**13
+# drawn entries (64 KB per float array), so blocking adds no peak memory
+_BOOTSTRAP_BLOCK_ROWS = 256
+_BOOTSTRAP_BLOCK_CELLS = 1 << 13
 
 
 def estimate_log_count(log_weights) -> float:
@@ -94,16 +98,21 @@ def bootstrap_ci(
     n = lw.size
     est = np.empty(replications)
     cv2 = np.empty(replications)
-    for b in range(replications):
-        pick = lw[rng.integers(0, n, size=n)]
-        est[b] = logsumexp(pick) - math.log(n)
-        finite = pick[np.isfinite(pick)]
-        if finite.size <= 1:
-            cv2[b] = 0.0
-        else:
-            z = np.exp(finite - finite.max())
-            mu = z.mean()
-            cv2[b] = z.var(ddof=1) / (mu * mu)
+    # rng.integers(size=(rows, n)) consumes the stream exactly as `rows`
+    # calls with size=n would, so the blocking leaves the output unchanged
+    rows = max(1, min(_BOOTSTRAP_BLOCK_ROWS, _BOOTSTRAP_BLOCK_CELLS // n))
+    for lo in range(0, replications, rows):
+        hi = min(lo + rows, replications)
+        picks = lw[rng.integers(0, n, size=(hi - lo, n))]
+        est[lo:hi] = logsumexp(picks, axis=1) - math.log(n)
+        for b, pick in enumerate(picks, lo):
+            finite = pick[np.isfinite(pick)]
+            if finite.size <= 1:
+                cv2[b] = 0.0
+            else:
+                z = np.exp(finite - finite.max())
+                mu = z.mean()
+                cv2[b] = z.var(ddof=1) / (mu * mu)
     est.sort()
     cv2.sort()
     lo, hi = alpha / 2.0, 1.0 - alpha / 2.0

@@ -27,13 +27,14 @@ import math
 
 import numpy as np
 
-from .cpdist import cp_log_pmf
+from .cpdist import log_esym
 from .layers import line_weights
 from .oracle import EnumerationBudgetError
 from .reduction import TableState
 from .sis import _Policy, _policy
 from .tables import (
     Dims,
+    InvariantError,
     MarginalSet,
     permute_marginal_axes,
     validate_marginals,
@@ -169,7 +170,8 @@ def _expand3(m: MarginalSet, policy: _Policy, max_leaves: int) -> PathExpansion:
             layer = next_layer()
             if layer < 0:
                 key = state.cells_array().tobytes()
-                assert key not in tables, "two paths reached one table"
+                if key in tables:
+                    raise InvariantError("two proposal paths reached one table")
                 tables[key] = math.exp(logp)
                 tally["leaves"] += 1
                 return
@@ -180,8 +182,12 @@ def _expand3(m: MarginalSet, policy: _Policy, max_leaves: int) -> PathExpansion:
         if size < 0 or size > len(positives):
             leaf_reject(logp)
             return
+        # CP pmf of each subset: sum of its log weights minus log R, with
+        # R and the logs computed once per line
+        log_r = log_esym(weights, size)
+        log_w = [math.log(w) if w > 0 else -math.inf for w in weights]
         for picked in combinations(positives, size):
-            lp = cp_log_pmf(weights, size, picked)
+            lp = min(sum(log_w[i] for i in picked) - log_r, 0.0)
             mark = state.mark()
             pending: deque = deque()
             chosen = set(picked)
@@ -195,5 +201,11 @@ def _expand3(m: MarginalSet, policy: _Policy, max_leaves: int) -> PathExpansion:
                 recurse(layer, logp + lp)
             state.undo_to(mark)
 
-    recurse(-1, 0.0)
+    try:
+        recurse(-1, 0.0)
+    finally:
+        # recurse refers to itself through its closure; break that cycle so
+        # the tables and the state are freed on return, not at the next
+        # full garbage collection
+        del recurse
     return PathExpansion(m.dims, tables, tally["reject"], tally["leaves"])

@@ -50,6 +50,7 @@ from .layers import SampleRejected, draw_line, sample_layer
 from .reduction import TableState
 from .tables import (
     BinaryTable,
+    InvariantError,
     MarginalSet,
     SampleOutcome,
     marginals_of,
@@ -114,13 +115,20 @@ def _rng_chooser(rng: np.random.Generator):
     return choose
 
 
+# a proposal's log q may exceed 0 only by float rounding of certain draws
+_LOG_Q_OVERSHOOT_TOL = 1e-12
+
+
 def _finish(m: MarginalSet, state: TableState, log_q: float) -> SampleOutcome:
     table = BinaryTable(m.dims, state.cells_array())
     got = marginals_of(table)
     for a in range(m.dims.d):
-        assert np.array_equal(got.margins[a], m.margins[a]), (
-            f"sampled table violates the margin over axis {a}"
-        )
+        if not np.array_equal(got.margins[a], m.margins[a]):
+            raise InvariantError(
+                f"sampled table violates the margin over axis {a}"
+            )
+    if log_q > _LOG_Q_OVERSHOOT_TOL:
+        raise InvariantError(f"proposal probability above 1: log q = {log_q!r}")
     return SampleOutcome("accepted", table=table, log_q=min(log_q, 0.0))
 
 

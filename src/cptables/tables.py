@@ -20,6 +20,12 @@ class CPTablesError(Exception):
     """Base class for errors raised by this package."""
 
 
+class InvariantError(CPTablesError):
+    """An internal invariant of the samplers or the expander failed: a
+    defect in the package, not in its input.  Raised, never asserted, so
+    the check also runs under python -O."""
+
+
 class MarginalValidationError(CPTablesError):
     """A marginal set violates a structural invariant.
 

@@ -56,7 +56,7 @@ LATIN4_TIME_S = 60.0            # criterion 6: order-4 sampling budget
 LATIN5_ORACLE_TIME_S = 600.0    # criterion 6: order-5 exact-count budget
 ESYM_REL_TOL = 1e-10            # criterion 7: symmetric-function recurrence
 PMF_NORM_TOL = 1e-10            # criterion 7: pmf normalization
-TV_LIMIT = 0.01                 # criterion 7: drafting vs pmf, 1e5 draws
+TV_LIMIT = 0.01                 # criterion 7: CP sampler vs pmf, 1e5 draws
 COVERAGE_MIN = 85               # criterion 9: CI hits out of 100 runs
 
 
@@ -199,7 +199,7 @@ def test_acceptance_07_conditional_poisson_distribution():
     if worst_norm > PMF_NORM_TOL:
         _report(7, False, f"pmf normalization off by {worst_norm:.2e}")
 
-    # drafting procedure reproduces the pmf: total variation at 1e5 draws
+    # the sequential sampler reproduces the pmf: total variation at 1e5 draws
     w = rng.uniform(0.2, 5.0, size=8)
     draws = 100_000
     counts = {}
@@ -215,7 +215,7 @@ def test_acceptance_07_conditional_poisson_distribution():
         7,
         ok,
         f"esym err {worst_esym:.1e}; pmf norm err {worst_norm:.1e}; "
-        f"drafting TV {tv:.4f} at 1e5 draws",
+        f"sampler TV {tv:.4f} at 1e5 draws",
     )
 
 

@@ -1,12 +1,15 @@
 import math
 from itertools import combinations
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from cptables import (
     CPInfeasibleError,
-    WeightVector,
     cp_draft_sample,
     cp_log_pmf,
     log_esym,
@@ -25,18 +28,6 @@ def random_weights(rng, size, zero_frac=0.25):
     w = rng.gamma(1.0, 2.0, size=size)
     w[rng.random(size) < zero_frac] = 0.0
     return w
-
-
-def test_weight_vector_basics():
-    wv = WeightVector(np.array([0.0, 2.0, 0.5]))
-    assert len(wv) == 3
-    assert wv.log_w[0] == -math.inf
-    assert np.isclose(wv.log_w[1], math.log(2.0))
-    assert np.array_equal(np.asarray(wv), wv.w)
-    with pytest.raises(ValueError):
-        WeightVector(np.array([-1.0]))
-    with pytest.raises(ValueError):
-        WeightVector(np.ones((2, 2)))
 
 
 def test_success_prob_3way_value():
@@ -146,7 +137,7 @@ def test_draft_sample_never_picks_zero_weights_and_reports_exact_pmf():
 
 
 def test_drafting_matches_pmf_in_total_variation():
-    # empirical law of the drafting sampler vs the exact pmf, well under
+    # empirical law of the sequential sampler vs the exact pmf, well under
     # the 0.01 TV sampling noise at this draw count
     rng = np.random.default_rng(31)
     w = np.array([0.3, 1.1, 0.0, 2.4, 0.8, 1.7, 0.05, 3.0])
@@ -162,3 +153,54 @@ def test_drafting_matches_pmf_in_total_variation():
         p = math.exp(cp_log_pmf(w, size, sub))
         tv += abs(counts.get(tuple(sub), 0) / draws - p)
     assert tv / 2.0 < 0.01
+
+
+def test_draft_sample_log_prob_matches_pmf_on_random_vectors():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        k = int(rng.integers(1, 13))
+        w = random_weights(rng, k, zero_frac=0.3)
+        npos = int(np.count_nonzero(w))
+        size = int(rng.integers(0, npos + 1))
+        s = cp_draft_sample(w, size, rng)
+        assert len(s.chosen) == size and all(w[i] > 0 for i in s.chosen)
+        assert abs(s.log_prob - cp_log_pmf(w, size, s.chosen)) <= 1e-12
+
+
+def test_draft_sample_takes_every_positive_item_when_size_is_their_count():
+    rng = np.random.default_rng(29)
+    for k in range(1, 12):
+        w = random_weights(rng, k, zero_frac=0.4)
+        positive = tuple(int(i) for i in np.flatnonzero(w))
+        s = cp_draft_sample(w, len(positive), rng)
+        assert s.chosen == positive and s.log_prob == 0.0
+
+
+@pytest.mark.parametrize("size", [1, 6])
+def test_sequential_sampler_matches_pmf_at_extreme_sizes(size):
+    # sizes 1 and k-1 of a 7-item vector; 0.01 TV as in the test above
+    rng = np.random.default_rng(37 + size)
+    w = np.array([0.2, 1.3, 0.6, 2.9, 0.9, 4.1, 0.35])
+    draws = 100_000
+    counts = {}
+    for _ in range(draws):
+        s = cp_draft_sample(w, size, rng)
+        counts[s.chosen] = counts.get(s.chosen, 0) + 1
+    tv = 0.5 * sum(
+        abs(counts.get(sub, 0) / draws - math.exp(cp_log_pmf(w, size, sub)))
+        for sub in combinations(range(len(w)), size)
+    )
+    assert tv < 0.01
+
+
+def test_cp_distribution_demo_runs():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(root / "demos" / "cp_distribution.py")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

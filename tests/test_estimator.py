@@ -66,6 +66,18 @@ def test_bootstrap_ci_deterministic_given_generator_seed():
     assert a.cv2[0] <= a.cv2[1]
 
 
+def test_bootstrap_ci_pinned_to_the_per_replication_resampler():
+    # values recorded from the one-replication-per-call resampler; 600
+    # replications of an odd-length stream with rejections span several
+    # resampling blocks, the last one partial
+    rng = np.random.default_rng(2024)
+    lw = rng.normal(10.0, 1.5, size=151)
+    lw[rng.random(151) < 0.3] = NEG_INF
+    ci = bootstrap_ci(lw, replications=600, rng=np.random.default_rng(99))
+    assert ci.estimate_log == (10.214072172338618, 10.967887032249358)
+    assert ci.cv2 == (2.212452915203058, 5.204072614761692)
+
+
 def test_bootstrap_ci_degenerate_on_a_constant_stream():
     lw = np.full(50, math.log(3.0))
     ci = bootstrap_ci(lw, replications=100, rng=np.random.default_rng(0))

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -121,3 +122,18 @@ def test_expansion_budget_and_validation():
     px = expand_paths(infeasible)
     assert px.tables == {} and px.reject_mass == 1.0
     assert math.isnan(px.cv2())
+
+
+def test_expansion_leaves_no_cyclic_garbage():
+    # the reached-table dict must be freed when the result is dropped, not
+    # only at the next full collection: repeated expansions otherwise pile
+    # up in memory
+    m = fixture("ex5_2")
+    gc.collect()
+    gc.disable()
+    try:
+        for proposal in PROPOSALS:
+            expand_paths(m, proposal=proposal, layer_axis=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

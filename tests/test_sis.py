@@ -1,10 +1,16 @@
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from cptables import (
     BinaryTable,
+    InvariantError,
     SisConfig,
     draw_accepted_tables,
     exact_count,
@@ -17,7 +23,7 @@ from cptables import (
     semimagic_margins,
 )
 from cptables.estimator import estimate_log_count
-from cptables.sis import PROPOSALS, _per_sample_rng
+from cptables.sis import PROPOSALS, _per_sample_rng, _rng_chooser
 
 
 def test_sis_config_validation():
@@ -174,3 +180,52 @@ def test_draw_accepted_tables_reproducible_and_budgeted():
     assert outs == [] and attempts == 30
     with pytest.raises(ValueError):
         draw_accepted_tables(m, 0)
+
+
+def test_margin_check_survives_python_O():
+    # the final margin check must raise, not assert: run it under -O with
+    # marginals_of patched to report the margins of the all-zero table
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import cptables.sis as sis
+        from cptables import BinaryTable, InvariantError, fixture
+
+        assert False, "asserts must be stripped in this run"
+        real = sis.marginals_of
+        sis.marginals_of = lambda t: real(
+            BinaryTable(t.dims, np.zeros(t.dims.sizes, dtype=np.int8)))
+        try:
+            sis.sample_table3(fixture("ex5_2"), np.random.default_rng(0),
+                              proposal="guided")
+        except InvariantError as e:
+            print(e)
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "violates the margin" in proc.stdout
+
+
+def test_log_q_overshoot_is_clamped_only_within_tolerance():
+    m = fixture("ex5_2")
+
+    def overshooting(per_draw):
+        base = _rng_chooser(_per_sample_rng(0, 0))
+
+        def choose(weights, size):
+            chosen, _ = base(weights, size)
+            return chosen, per_draw
+        return choose
+
+    out = sample_table3(m, proposal="guided", _choose=overshooting(1e-15))
+    assert out.accepted and out.log_q == 0.0
+    with pytest.raises(InvariantError, match="above 1"):
+        sample_table3(m, proposal="guided", _choose=overshooting(1e-6))
