@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: estimate (SIS count estimate with optional bootstrap CIs),
-sample (draw accepted tables), exact (brute-force count/enumeration),
+sample (draw accepted tables), exact (count/enumeration by search),
 ingest-ucinet (DL file -> marginal file), fixtures (list or print bundled
 margin sets).  INPUT arguments take either a marginal-file path or a
 bundled fixture name.
@@ -230,7 +230,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("exact", help="exact count or enumeration by search")
     add_input(sp)
-    sp.add_argument("--budget", type=int, default=None, help="search node limit")
+    sp.add_argument("--budget", type=int, default=None,
+                    help="search node limit; it also bounds the count's memo, "
+                    "about 7 MB for the order-5 Latin squares")
     sp.add_argument("--enumerate", type=int, default=None, metavar="LIMIT",
                     help="list up to LIMIT tables instead of counting")
     sp.set_defaults(fn=_cmd_exact)

@@ -3,13 +3,21 @@
 Depth-first search over the cells in lexicographic order, branching 0/1 and
 running the structure-propagation rules after every assignment; a branch
 whose residuals turn infeasible is cut immediately.  Counts are plain
-Python integers, so they stay exact at any magnitude.  Desk scale only: the
-node budget guards against accidentally launching an astronomically large
-enumeration.
+Python integers, so they stay exact at any magnitude.
+
+The counter memoizes: below a node every cell before the cursor is set, so
+the number of completions depends only on the cells from the cursor on and
+the residual margins.  Keyed by those as bytes, each subtree's count is
+stored when it closes and reused on a hit.  The memo grows with the
+expanded nodes (about 7 MB on semimagic-5-1, the 161280 order-5 Latin
+squares).  The enumerator keeps the plain search: it must visit every table.
+Desk scale only: the node budget guards against accidentally launching an
+astronomically large search, and so also bounds the counter's memo.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 from .reduction import TableState
@@ -29,8 +37,46 @@ class EnumerationBudgetError(CPTablesError):
 
 
 def exact_count(m: MarginalSet, budget: int | None = None) -> int:
-    """The exact number of zero-one tables with margins m."""
-    count, _ = _search(m, budget=budget, want_tables=False, limit=None)
+    """The exact number of zero-one tables with margins m.  budget bounds the
+    expanded nodes (memo hits cost none); the budget error's partial count
+    covers the subtrees that have closed."""
+    state, cursor = _root(m)
+    if state is None:
+        return 0
+    ncells = state.geo.ncells
+    if cursor == ncells:
+        return 1
+    code = "B" if max(m.dims.sizes) < 256 else "I"  # wide enough for any rs
+    memo: dict[bytes, int] = {}
+    count = nodes = 0
+    # explicit stack of (cursor, next_value, trail_mark, memo key, count on
+    # entry); a frame's subtree count is the growth of `count` while it is
+    # open.  The root's key b"" is never looked up.
+    stack = [(cursor, 0, state.mark(), b"", 0)]
+    while stack:
+        cursor, value, mark, key, entry = stack.pop()
+        if value > 1:
+            memo[key] = count - entry
+            state.undo_to(mark)
+            continue
+        stack.append((cursor, value + 1, mark, key, entry))
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise EnumerationBudgetError(nodes, count)
+        branch_mark = state.mark()
+        nxt = _branch(state, cursor, value)
+        if nxt == ncells:
+            count += 1
+        elif nxt >= 0:
+            # rs packs to a fixed width, so the key's length pins the cursor
+            key = (array("b", state.cells[nxt:]).tobytes()
+                   + array(code, state.rs).tobytes())
+            hit = memo.get(key)
+            if hit is None:
+                stack.append((nxt, 0, branch_mark, key, count))
+                continue
+            count += hit
+        state.undo_to(branch_mark)
     return count
 
 
@@ -43,36 +89,16 @@ def exact_enumerate(
     order the search visits them."""
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
-    _, tables = _search(m, budget=budget, want_tables=True, limit=limit)
-    return tables
-
-
-def _search(m, budget, want_tables, limit):
-    validate_marginals(m)
-    state = TableState.from_marginals(m)
-    if state.initial_reduce() >= 0:
-        return 0, []
+    state, cursor = _root(m)
+    if state is None:
+        return []
     ncells = state.geo.ncells
-    cells = state.cells
-    count = 0
+    if cursor == ncells:
+        return [BinaryTable(m.dims, state.cells_array())]
     tables: list[BinaryTable] = []
     nodes = 0
-
     # explicit stack of (cursor, next_value, trail_mark); cursor is the
     # first-free scan position, monotone along any root-to-leaf path
-    def first_free(start: int) -> int:
-        i = start
-        while i < ncells and cells[i] >= 0:
-            i += 1
-        return i
-
-    cursor = first_free(0)
-    if cursor >= ncells:
-        count = 1
-        if want_tables:
-            tables.append(BinaryTable(m.dims, state.cells_array()))
-        return count, tables
-
     stack = [(cursor, 0, state.mark())]
     while stack:
         cursor, value, mark = stack.pop()
@@ -82,21 +108,41 @@ def _search(m, budget, want_tables, limit):
         stack.append((cursor, value + 1, mark))
         nodes += 1
         if budget is not None and nodes > budget:
-            raise EnumerationBudgetError(nodes, count)
+            raise EnumerationBudgetError(nodes, len(tables))
         branch_mark = state.mark()
-        pending: deque = deque()
-        state.set_cell(cursor, value, pending)
-        if state.propagate(pending) >= 0:
-            state.undo_to(branch_mark)
-            continue
-        nxt = first_free(cursor + 1)
-        if nxt >= ncells:
-            count += 1
-            if want_tables:
-                tables.append(BinaryTable(m.dims, state.cells_array()))
-                if limit is not None and len(tables) >= limit:
-                    return count, tables
-            state.undo_to(branch_mark)
-        else:
+        nxt = _branch(state, cursor, value)
+        if nxt == ncells:
+            tables.append(BinaryTable(m.dims, state.cells_array()))
+            if limit is not None and len(tables) >= limit:
+                return tables
+        elif nxt >= 0:
             stack.append((nxt, 0, branch_mark))
-    return count, tables
+            continue
+        state.undo_to(branch_mark)
+    return tables
+
+
+def _root(m: MarginalSet) -> tuple[TableState | None, int]:
+    """The reduced root state and its first free cell; None if infeasible."""
+    validate_marginals(m)
+    state = TableState.from_marginals(m)
+    if state.initial_reduce() >= 0:
+        return None, 0
+    return state, _first_free(state.cells, 0)
+
+
+def _branch(state: TableState, cursor: int, value: int) -> int:
+    """Set one cell and propagate; return the next free cell (ncells once the
+    table is complete) or -1 if infeasible.  The caller undoes either way."""
+    pending: deque = deque()
+    state.set_cell(cursor, value, pending)
+    if state.propagate(pending) >= 0:
+        return -1
+    return _first_free(state.cells, cursor + 1)
+
+
+def _first_free(cells: list[int], start: int) -> int:
+    try:
+        return cells.index(-1, start)
+    except ValueError:
+        return len(cells)

@@ -266,7 +266,7 @@ def run_sis(m: MarginalSet, cfg: SisConfig) -> np.ndarray:
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(args)) as pool:
         chunks = list(pool.map(_weight_chunk_star, args))
     return np.concatenate(chunks)
 

@@ -1,10 +1,12 @@
 import gc
+from itertools import combinations
 import math
 
 import numpy as np
 import pytest
 
 from cptables import (
+    InvariantError,
     exact_count,
     exact_enumerate,
     expand_paths,
@@ -137,3 +139,15 @@ def test_expansion_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_two_paths_to_one_table_raise(monkeypatch):
+    # a chooser that offers every subset twice reaches each table twice
+    def twice(items, size):
+        for picked in combinations(items, size):
+            yield picked
+            yield picked
+
+    monkeypatch.setattr("cptables.expand.combinations", twice)
+    with pytest.raises(InvariantError, match="two proposal paths"):
+        expand_paths(fixture("ex5_2"))

@@ -1,5 +1,7 @@
+import gc
 from itertools import product
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from cptables import (
     MarginalSet,
     exact_count,
     exact_enumerate,
+    expand_paths,
     fixture,
     fixture_names,
     marginals3,
@@ -16,6 +19,7 @@ from cptables import (
     semimagic_margins,
 )
 from cptables.oracle import EnumerationBudgetError
+from cptables.sis import PROPOSALS
 
 KNOWN_COUNTS = {
     "ex5_1": 12,
@@ -105,6 +109,10 @@ def test_three_way_agrees_with_brute_force_on_a_random_instance():
     assert exact_count(m) == brute
 
 
+def test_semimagic_count_with_many_memo_hits():
+    assert exact_count(semimagic_margins(4, 2)) == 51678
+
+
 def test_latin_square_counts():
     assert exact_count(semimagic_margins(3, 1)) == 12
     assert exact_count(semimagic_margins(4, 1)) == 576
@@ -121,3 +129,52 @@ def test_four_way_count():
         got = marginals_of(t)
         for a in range(4):
             assert np.array_equal(got.margins[a], m.margins[a])
+
+
+@st.composite
+def small_tables(draw):
+    d = draw(st.integers(2, 4))
+    sizes = tuple(draw(st.integers(2, 5 if d == 2 else 3)) for _ in range(d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random(sizes) < draw(st.floats(0.2, 0.8))).astype(np.int8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_tables())
+def test_count_matches_enumeration_and_expansion(cells):
+    m = marginals_of(BinaryTable.from_array(cells))
+    count = exact_count(m)
+    assert count == len(exact_enumerate(m)) >= 1
+    if m.dims.d != 3:
+        return
+    # the proposal reaches every table: mass 1 and as many tables as exist
+    for proposal in PROPOSALS:
+        for axis in range(3):
+            px = expand_paths(m, proposal=proposal, layer_axis=axis)
+            assert abs(px.total_mass - 1.0) <= 1e-12
+            assert len(px.tables) == count
+            assert all(q > 0 for q in px.tables.values())
+
+
+def test_count_leaves_no_cyclic_garbage():
+    # the memo must be freed on return, not at the next full collection
+    m = semimagic_margins(4, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        assert exact_count(m) == 576
+        with pytest.raises(EnumerationBudgetError):
+            exact_count(m, budget=100)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_deep_search_ends_on_the_budget_not_the_recursion_limit():
+    # half-full 72 x 72 margins: the first complete table lies more than
+    # 1000 branch levels below the root
+    half = np.full(72, 36)
+    m = MarginalSet(Dims((72, 72)), (half, half))
+    with pytest.raises(EnumerationBudgetError) as info:
+        exact_count(m, budget=3000)
+    assert info.value.partial_count >= 1

@@ -54,6 +54,14 @@ def test_run_sis_is_worker_count_invariant():
     assert np.array_equal(one, four)
 
 
+def test_run_sis_with_more_workers_than_samples():
+    # three one-sample chunks; the pool starts one process per chunk
+    m = fixture("ex5_9")
+    one = run_sis(m, SisConfig(samples=3, seed=4, workers=1))
+    four = run_sis(m, SisConfig(samples=3, seed=4, workers=4))
+    assert one.tobytes() == four.tobytes()
+
+
 def test_per_sample_streams_are_independent_of_position():
     # sample index i always gets the same generator state, so prefixes agree
     m = fixture("ex5_4")
