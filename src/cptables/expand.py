@@ -16,10 +16,23 @@ noise:
 Tree size is bounded by the number of consistent partial fillings, not by
 branching ^ depth: inconsistent branches die quickly under propagation.
 Still, keep this to desk-scale problems; max_leaves guards the walk.
+
+The walk is memoized.  Below a node the subtree depends only on the current
+layer, which cells are still free and every line's residual: the values
+already placed act only through the residuals.  Keyed by those as bytes,
+each node is expanded once and stored as its edges (branch log probability,
+the cells the branch sets to one, the child node).  A later node with the
+same key replays the stored edges with no propagation, passing the table
+down as an int with one byte per cell.  Replay folds log q edge by edge and
+emits accepts and rejects in the walk's order, so every q, the reject mass,
+the leaf count and the budget checks are bit-for-bit those of the plain
+walk.  On semimagic-4-2 the memo holds a few thousand nodes and adds about
+3 MB to the 9 MB of reached tables.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -39,6 +52,16 @@ from .tables import (
     permute_marginal_axes,
     validate_marginals,
 )
+
+# A memo node is a tuple of edges (lp, bits, child), one per branch in the
+# walk's order: lp is the branch's log probability (None for a layer pass),
+# bits the cells it sets to one (byte cid of an int), child the node below
+# or None for a branch that dies in propagation.  _ACCEPT marks a finished
+# table, _REJECT a node that dies on entry.
+_ACCEPT = ()
+_REJECT = ((None, 0, None),)
+# memo keys mark free cells (-1, byte 0xff) with 1 and set cells with 0
+_FREE = bytes(255) + b"\x01"
 
 
 @dataclass(frozen=True)
@@ -126,6 +149,11 @@ def _expand3(m: MarginalSet, policy: _Policy, max_leaves: int) -> PathExpansion:
 
     nlayers, n, _ = state.geo.sizes
     base = state.geo.offset[2]
+    ncells = state.geo.ncells
+    # tables travel down the walk as ints, one byte per cell in C order
+    one = [1 << 8 * cid for cid in range(ncells)]
+    layer_tag = [i.to_bytes(4, "little", signed=True) for i in range(-1, nlayers)]
+    memo: dict[bytes, tuple] = {}
 
     def next_layer() -> int:
         best_i = -1
@@ -152,60 +180,107 @@ def _expand3(m: MarginalSet, policy: _Policy, max_leaves: int) -> PathExpansion:
                 best_lid = lid
         return best_lid
 
-    def recurse(layer: int, logp: float) -> None:
+    def ones_since(mark: int) -> int:
+        """The cells set to one since the trail mark, as table bits."""
+        cells = state.cells
+        bits = 0
+        for cid in state.trail[mark:]:
+            if cells[cid] == 1:
+                bits |= one[cid]
+        return bits
+
+    def check_budget() -> None:
         if tally["leaves"] > max_leaves:
             raise EnumerationBudgetError(tally["leaves"], len(tables))
+
+    def accept(out: int, logp: float) -> None:
+        key = out.to_bytes(ncells, "little")
+        if key in tables:
+            raise InvariantError("two proposal paths reached one table")
+        tables[key] = math.exp(logp)
+        tally["leaves"] += 1
+
+    def replay(node: tuple, out: int, logp: float) -> None:
+        # the walk's leaf and reject events again, in the same order and
+        # with logp folded edge by edge, so every q comes out bit-identical
+        if node is _ACCEPT:
+            accept(out, logp)
+            return
+        for lp, bits, child in node:
+            p = logp if lp is None else logp + lp
+            if child is None:
+                leaf_reject(p)
+            else:
+                check_budget()
+                replay(child, out | bits, p)
+
+    def visit(layer: int, out: int, logp: float) -> tuple:
+        """Enter the node below the current state: replay it if its key is
+        in the memo, else expand it, store it and return it."""
+        check_budget()
+        key = (layer_tag[layer + 1] + state.residual_bytes()
+               + array("b", state.cells).tobytes().translate(_FREE))
+        node = memo.get(key)
+        if node is not None:
+            replay(node, out, logp)
+            return node
         if layer >= 0 and next_line(layer) < 0:
+            layer = -1
             if policy.layer_pass and policy.nosat_mid:
                 mark = state.mark()
                 if state.initial_reduce() >= 0:
-                    state.undo_to(mark)
                     leaf_reject(logp)
-                    return
-                recurse(-1, logp)
+                    node = _REJECT
+                else:
+                    bits = ones_since(mark)
+                    node = ((None, bits, visit(-1, out | bits, logp)),)
                 state.undo_to(mark)
-                return
-            layer = -1
-        if layer < 0:
+        if node is None and layer < 0:
             layer = next_layer()
             if layer < 0:
-                key = state.cells_array().tobytes()
-                if key in tables:
-                    raise InvariantError("two proposal paths reached one table")
-                tables[key] = math.exp(logp)
-                tally["leaves"] += 1
-                return
-        lid = next_line(layer)
-        free_cids, weights, certain = line_weights(state, lid)
-        size = state.rs[lid] - len(certain)
-        positives = [i for i, w in enumerate(weights) if w > 0]
-        if size < 0 or size > len(positives):
-            leaf_reject(logp)
-            return
-        # CP pmf of each subset: sum of its log weights minus log R, with
-        # R and the logs computed once per line
-        log_r = log_esym(weights, size)
-        log_w = [math.log(w) if w > 0 else -math.inf for w in weights]
-        for picked in combinations(positives, size):
-            lp = min(sum(log_w[i] for i in picked) - log_r, 0.0)
-            mark = state.mark()
-            pending: deque = deque()
-            chosen = set(picked)
-            for cid in certain:
-                state.set_cell(cid, 1, pending)
-            for pos, cid in enumerate(free_cids):
-                state.set_cell(cid, 1 if pos in chosen else 0, pending)
-            if state.propagate(pending, policy.nosat_mid) >= 0:
-                leaf_reject(logp + lp)
+                accept(out, logp)
+                node = _ACCEPT
+        if node is None:
+            lid = next_line(layer)
+            free_cids, weights, certain = line_weights(state, lid)
+            size = state.rs[lid] - len(certain)
+            positives = [i for i, w in enumerate(weights) if w > 0]
+            if size < 0 or size > len(positives):
+                leaf_reject(logp)
+                node = _REJECT
             else:
-                recurse(layer, logp + lp)
-            state.undo_to(mark)
+                # CP pmf of each subset: sum of its log weights minus log
+                # R, with R and the logs computed once per line
+                log_r = log_esym(weights, size)
+                log_w = [math.log(w) if w > 0 else -math.inf for w in weights]
+                edges = []
+                for picked in combinations(positives, size):
+                    lp = min(sum(log_w[i] for i in picked) - log_r, 0.0)
+                    mark = state.mark()
+                    pending: deque = deque()
+                    chosen = set(picked)
+                    for cid in certain:
+                        state.set_cell(cid, 1, pending)
+                    for pos, cid in enumerate(free_cids):
+                        state.set_cell(cid, 1 if pos in chosen else 0, pending)
+                    if state.propagate(pending, policy.nosat_mid) >= 0:
+                        leaf_reject(logp + lp)
+                        edges.append((lp, 0, None))
+                    else:
+                        bits = ones_since(mark)
+                        child = visit(layer, out | bits, logp + lp)
+                        edges.append((lp, bits, child))
+                    state.undo_to(mark)
+                node = tuple(edges)
+        memo[key] = node
+        return node
 
     try:
-        recurse(-1, 0.0)
+        # the root's table holds the ones the initial reduction forced
+        visit(-1, ones_since(0), 0.0)
     finally:
-        # recurse refers to itself through its closure; break that cycle so
-        # the tables and the state are freed on return, not at the next
-        # full garbage collection
-        del recurse
+        # the walkers refer to each other and themselves through their
+        # closures; break those cycles so the tables, the memo and the
+        # state are freed on return, not at the next full garbage collection
+        del visit, replay
     return PathExpansion(m.dims, tables, tally["reject"], tally["leaves"])

@@ -19,6 +19,8 @@ file with inconsistent margins still fails loudly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tables import CPTablesError, Dims, MarginalSet, validate_marginals
@@ -35,6 +37,7 @@ class MarginalFileError(CPTablesError):
 
 
 _ALIASES3 = {"si": 1, "sj": 2, "sk": 3}
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _tokenize(text: str):
@@ -97,14 +100,17 @@ def parse_marginal_text(text: str) -> MarginalSet:
         if axis in margins:
             raise MarginalFileError(f"margin over axis {axis} given twice", ln, col)
         shape = dims.margin_shape(axis - 1)
-        wanted = int(np.prod(shape))
+        wanted = math.prod(shape)  # exact: an int64 product can wrap
         values = []
         for _ in range(wanted):
             tok, ln, col = need(f"{wanted} integers for margin axis {axis}")
             try:
-                values.append(int(tok))
+                v = int(tok)
             except ValueError:
                 raise MarginalFileError(f"bad margin entry {tok!r}", ln, col) from None
+            if not _INT64_MIN <= v <= _INT64_MAX:
+                raise MarginalFileError(f"margin entry {tok!r} out of range", ln, col)
+            values.append(v)
         margins[axis] = np.asarray(values, dtype=np.int64).reshape(shape)
     missing = [a for a in range(1, dims.d + 1) if a not in margins]
     if missing:

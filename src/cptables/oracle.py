@@ -46,7 +46,6 @@ def exact_count(m: MarginalSet, budget: int | None = None) -> int:
     ncells = state.geo.ncells
     if cursor == ncells:
         return 1
-    code = "B" if max(m.dims.sizes) < 256 else "I"  # wide enough for any rs
     memo: dict[bytes, int] = {}
     count = nodes = 0
     # explicit stack of (cursor, next_value, trail_mark, memo key, count on
@@ -70,7 +69,7 @@ def exact_count(m: MarginalSet, budget: int | None = None) -> int:
         elif nxt >= 0:
             # rs packs to a fixed width, so the key's length pins the cursor
             key = (array("b", state.cells[nxt:]).tobytes()
-                   + array(code, state.rs).tobytes())
+                   + state.residual_bytes())
             hit = memo.get(key)
             if hit is None:
                 stack.append((nxt, 0, branch_mark, key, count))

@@ -20,6 +20,7 @@ worklist over flat line ids rather than array scans.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -56,7 +57,7 @@ class _Geometry:
     """
 
     __slots__ = ("sizes", "d", "ncells", "nlines", "offset", "line_cells",
-                 "cell_lines", "line_axis", "line_index")
+                 "cell_lines", "line_axis", "line_index", "rs_code")
 
     def __init__(self, sizes: tuple[int, ...]):
         self.sizes = sizes
@@ -71,6 +72,9 @@ class _Geometry:
             self.offset.append(nlines)
             nlines += ncells // sizes[a]
         self.nlines = nlines
+        # array typecode wide enough for any residual: no line is longer
+        # than the longest axis
+        self.rs_code = "B" if max(sizes) < 256 else "I"
         self.line_cells: list[list[int]] = [[] for _ in range(nlines)]
         self.cell_lines: list[tuple[int, ...]] = []
         self.line_axis: list[int] = [0] * nlines
@@ -193,6 +197,11 @@ class TableState:
             for lid in self.geo.cell_lines[cid]:
                 free[lid] += 1
                 rs[lid] += v
+
+    def residual_bytes(self) -> bytes:
+        """Every line's residual packed at one fixed width, for memo keys.
+        Residuals are in [0, free] at a fixpoint."""
+        return array(self.geo.rs_code, self.rs).tobytes()
 
     def line_id(self, axis: int, index: tuple[int, ...]) -> int:
         geo = self.geo

@@ -91,6 +91,10 @@ def parse_ucinet_dl_text(text: str) -> RelationStack:
         # header assignments; commas and spaces around '=' are all legal
         for key, val in re.findall(r"([A-Za-z]+)\s*=\s*([A-Za-z0-9]+)", line):
             k = key.upper()
+            if k in ("N", "NM") and not val.isdigit():
+                raise UcinetFormatError(
+                    f"header value {key}={val} is not a whole number"
+                )
             if k == "N":
                 n = int(val)
             elif k == "NM":

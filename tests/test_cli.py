@@ -1,5 +1,9 @@
 import json
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 
@@ -211,3 +215,21 @@ def test_sample_log_q_matches_labels(capsys):
     line = [l for l in out.splitlines() if l.startswith("table 1")][0]
     q = float(line.split("log q = ")[1].rstrip("):"))
     assert abs(q - math.log(0.5)) < 1e-5  # printed at 6 decimal places
+
+
+def test_ingest_ucinet_bad_header_value_exits_two_without_traceback(tmp_path):
+    dl = tmp_path / "bad.dl"
+    dl.write_text("DL N=3NM=1\nDATA:\n0 1 0\n1 0 1\n0 1 0\n")
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "cptables", "ingest-ucinet", str(dl),
+         "--out", str(tmp_path / "o.margins")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "N=3NM" in proc.stderr
+    assert "Traceback" not in proc.stderr

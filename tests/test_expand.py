@@ -1,4 +1,5 @@
 import gc
+import hashlib
 from itertools import combinations
 import math
 
@@ -151,3 +152,48 @@ def test_two_paths_to_one_table_raise(monkeypatch):
     monkeypatch.setattr("cptables.expand.combinations", twice)
     with pytest.raises(InvariantError, match="two proposal paths"):
         expand_paths(fixture("ex5_2"))
+
+
+def _expansion_digest(px) -> str:
+    h = hashlib.sha256()
+    for key, qhex in sorted((k, q.hex()) for k, q in px.tables.items()):
+        h.update(key)
+        h.update(qhex.encode())
+    h.update(px.reject_mass.hex().encode())
+    h.update(str(px.leaves).encode())
+    return h.hexdigest()
+
+
+# recorded from the plain (unmemoized) walk: every q, the reject mass and
+# the leaf count must stay bit-for-bit the same
+EXPANSION_DIGESTS = {
+    ("semimagic-4-1", "classic", 0): "974ef8792dd20f4ff556b356edc914945b9a05c8397d123790f4ae60318426e7",
+    ("semimagic-4-1", "classic", 1): "5587e18b9a095f59e7a9947b3912d65cdceb387f5e5b2d766a7ab52f797a3480",
+    ("semimagic-4-1", "classic", 2): "86e33fe6ee67226e7dd9c13f6226796c0e1c031fe33957c5e3b09eb2120cb313",
+    ("semimagic-4-1", "guided", 0): "974ef8792dd20f4ff556b356edc914945b9a05c8397d123790f4ae60318426e7",
+    ("semimagic-4-1", "guided", 1): "5587e18b9a095f59e7a9947b3912d65cdceb387f5e5b2d766a7ab52f797a3480",
+    ("semimagic-4-1", "guided", 2): "86e33fe6ee67226e7dd9c13f6226796c0e1c031fe33957c5e3b09eb2120cb313",
+    ("ex5_6", "classic", 0): "69ca7ee846eadcaf4b71f4a7a6a05e20a63e1d8b71d95181a0848f2073863155",
+    ("ex5_6", "classic", 1): "ef78e26c83a4a656c11fa7ee379aaff2fba11bd348bf22da0de9ec3da870aee8",
+    ("ex5_6", "classic", 2): "fe22503b94acddd36784b8bbb325190146da9286eb7875bf8d72cd4fce34211d",
+    ("ex5_6", "guided", 0): "a65566950929f515aaadb6ca24c2a4a6725b7e1f2befc629d957b7f421535999",
+    ("ex5_6", "guided", 1): "f1ad7d25eff7a4d75f59e72bc0f3f2d6ea230ef6e1adec056bc99df0b63dcd91",
+    ("ex5_6", "guided", 2): "98f9d658728831adadcfa259e4d574409f61bb6361b66dfa98aa0186de8c1a82",
+    ("semimagic-4-2", "classic", 0): "8a0ea97f61188c19a13045f296a26b4a1516177a378660e2f3fa1011d7f8aadd",
+}
+
+
+@pytest.mark.parametrize("name,proposal,axis", sorted(EXPANSION_DIGESTS))
+def test_expansion_is_pinned_bit_for_bit(name, proposal, axis):
+    px = expand_paths(fixture(name), proposal=proposal, layer_axis=axis)
+    assert _expansion_digest(px) == EXPANSION_DIGESTS[name, proposal, axis]
+
+
+@pytest.mark.parametrize("proposal", PROPOSALS)
+def test_expansion_budget_error_points_are_pinned(proposal):
+    # the budget is checked on entry to every node, memo hits included
+    for max_leaves, point in ((1000, (1001, 949)), (20000, (20001, 19147))):
+        with pytest.raises(EnumerationBudgetError) as err:
+            expand_paths(fixture("semimagic-4-2"), proposal=proposal,
+                         max_leaves=max_leaves)
+        assert (err.value.nodes, err.value.partial_count) == point

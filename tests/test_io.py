@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cptables import (
     BinaryTable,
@@ -196,3 +199,86 @@ def test_relation_stack_validation():
         RelationStack(bad, ("a",))
     with pytest.raises(ValueError, match="one name per relation"):
         RelationStack(ok, ("a",))
+
+
+def test_ucinet_header_value_must_be_a_whole_number():
+    with pytest.raises(UcinetFormatError, match="N=3NM"):
+        parse_ucinet_dl_text("DL N=3NM=1\nDATA:\n" + "0 0 0\n" * 3)
+    with pytest.raises(UcinetFormatError, match="NM=x"):
+        parse_ucinet_dl_text("DL N=2 NM=x\nDATA:\n0 1\n1 0\n")
+
+
+def test_marginal_parser_rejects_entries_beyond_int64():
+    with pytest.raises(MarginalFileError, match="out of range"):
+        parse_marginal_text("dims: 2 2\nm1: 99999999999999999999 1\nm2: 1 1\n")
+    # margin sizes multiply exactly, so a huge shape asks for more entries
+    # than the file holds instead of wrapping around
+    with pytest.raises(MarginalFileError, match="unexpected end of file"):
+        parse_marginal_text("dims: 4294967296 4294967296 4294967296\nm1: 1\n")
+
+
+# parser fuzzing: valid files mutated token by token, and token soup
+_FUZZ_TOKENS = (
+    "dims:", "margin", "m1:", "m2:", "m3:", "m4:", "m0:", "si:", "sj:", "sk:",
+    "DL", "dl", "N=", "NM=", "N=3NM=1", "=", "DATA:", "LABELS:",
+    "LEVEL LABELS:", "FORMAT=", "FULLMATRIX", "EDGELIST1", "DIAGONAL",
+    "ABSENT", "0", "1", "2", "3", "7", "-1", "+2", "-0", "1.5", "1e3", "nan",
+    "99999999999999999999", str(2**63), str(-(2**63) - 1), "x", "#", ",",
+)
+_FUZZ_SEPS = (" ", "\n", "", "\t", ",", "=", ":")
+_MARGIN_SEEDS = (
+    format_marginals(fixture("ex5_2")),
+    "dims: 2 3\nm1: 1 2 0\nm2: 2 1\n",
+    "dims: 2 2 2 2\nm1:" + " 1" * 8 + "\nm2:" + " 1" * 8
+    + "\nm3:" + " 1" * 8 + "\nm4:" + " 1" * 8 + "\n",
+)
+_DL_SEEDS = (
+    "DL N=4 NM=2\nFORMAT = FULLMATRIX DIAGONAL PRESENT\nLEVEL LABELS:\n"
+    "advice\nfriendship\nDATA:\n" + "0 1 2 0\n3 0 0 1\n" * 4,
+    "dl n=3 nm=1\nformat=fullmatrix diagonal absent\ndata:\n1 0\n2 1\n0 3\n",
+    "DL N=2 NM=1\nLABELS:\nwho\nDATA:\n0 1\n1 0\n",
+)
+
+
+@st.composite
+def _fuzzed_text(draw, seeds):
+    tokens = st.sampled_from(_FUZZ_TOKENS)
+    seps = st.sampled_from(_FUZZ_SEPS)
+    if draw(st.booleans()):
+        soup = draw(st.lists(st.tuples(tokens, seps), max_size=30))
+        return "".join(t + sep for t, sep in soup)
+    pieces = re.split(r"(\s+)", draw(st.sampled_from(seeds)))
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(pieces)))
+        op = draw(st.sampled_from(("replace", "insert", "delete", "glue", "cut")))
+        if op == "insert" or i == len(pieces):
+            pieces.insert(i, draw(tokens) + draw(seps))
+        elif op == "replace":
+            pieces[i] = draw(tokens)
+        elif op == "delete":
+            del pieces[i]
+        elif op == "glue":
+            pieces[i] = pieces[i].strip()
+        else:
+            del pieces[i:]
+    return "".join(pieces)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fuzzed_text(_MARGIN_SEEDS))
+def test_marginal_parser_fuzz_raises_only_its_own_errors(text):
+    # a syntax error is a MarginalFileError (CLI exit 2); well-formed but
+    # inconsistent margins are a MarginalValidationError (CLI exit 1)
+    try:
+        parse_marginal_text(text)
+    except (MarginalFileError, MarginalValidationError):
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fuzzed_text(_DL_SEEDS))
+def test_ucinet_parser_fuzz_raises_only_its_own_errors(text):
+    try:
+        parse_ucinet_dl_text(text).marginals()
+    except UcinetFormatError:
+        pass

@@ -1,3 +1,4 @@
+from array import array
 from collections import deque
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cptables import (
     BinaryTable,
+    Dims,
     StructurallyInfeasibleError,
     TableState,
     detect_structures,
@@ -173,3 +175,21 @@ def test_line_id_is_consistent_with_geometry():
         axis = geo.line_axis[lid]
         index = geo.line_index[lid]
         assert state.line_id(axis, index) == lid
+
+
+def test_residual_bytes_pack_narrow_and_wide():
+    narrow = TableState.from_marginals(fixture("ex5_2"))
+    assert len(narrow.residual_bytes()) == narrow.geo.nlines
+    assert array("B", narrow.residual_bytes()).tolist() == narrow.rs
+    # a 300 x 2 table has lines of 300 cells: residuals up to 300 need a
+    # wider code, and still unpack to the residuals
+    cells = np.zeros((300, 2), dtype=np.int8)
+    cells[:290, 0] = 1
+    cells[::3, 1] = 1
+    wide = TableState.from_marginals(marginals_of(BinaryTable(Dims((300, 2)), cells)))
+    assert max(wide.rs) >= 256
+    code = wide.geo.rs_code
+    assert array(code).itemsize >= 2
+    packed = wide.residual_bytes()
+    assert len(packed) == wide.geo.nlines * array(code).itemsize
+    assert array(code, packed).tolist() == wide.rs
