@@ -10,7 +10,11 @@ cv^2, the squared coefficient of variation of the weights, is the standard
 quality diagnostic: it is computed over the accepted weights only, while
 the estimate itself keeps the zeros.  The bootstrap resamples the full
 stream (zeros included) N at a time, B times, and takes nearest-rank
-percentiles of the replicated estimates and cv^2 values.
+percentiles of the replicated estimates and cv^2 values.  Replications are
+resampled in blocks, and within a block their cv^2 values are computed per
+group of replications with the same number of accepted entries, with the
+same operations in the same order as cv_squared, so each value is bitwise
+the one a replication-by-replication loop gives.
 """
 
 from __future__ import annotations
@@ -73,6 +77,43 @@ class BootstrapCI:
     alpha: float
 
 
+def _bootstrap_replicates(
+    lw: np.ndarray, replications: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The replicated log estimates and cv^2 values, in replication order.
+
+    Per block, the replications are grouped by their number c of accepted
+    entries; each group's entries form one (rows, c) array, on which the
+    ufuncs of z.mean() and z.var(ddof=1) run row by row in the same order,
+    so every cv^2 is bitwise what cv_squared gives on that replication."""
+    n = lw.size
+    est = np.empty(replications)
+    cv2 = np.empty(replications)
+    # rng.integers(size=(rows, n)) consumes the stream exactly as `rows`
+    # calls with size=n would, so the blocking leaves the output unchanged
+    rows = max(1, min(_BOOTSTRAP_BLOCK_ROWS, _BOOTSTRAP_BLOCK_CELLS // n))
+    for lo in range(0, replications, rows):
+        hi = min(lo + rows, replications)
+        picks = lw[rng.integers(0, n, size=(hi - lo, n))]
+        est[lo:hi] = logsumexp(picks, axis=1) - math.log(n)
+        finite = np.isfinite(picks)
+        vals = picks[finite]  # each row's finite entries, row after row
+        counts = finite.sum(axis=1)
+        starts = np.cumsum(counts) - counts
+        for c in np.unique(counts).tolist():
+            at = np.flatnonzero(counts == c)
+            if c <= 1:
+                cv2[lo + at] = 0.0
+                continue
+            f = vals[starts[at, None] + np.arange(c)]
+            z = np.exp(f - f.max(axis=1, keepdims=True))
+            mu = np.add.reduce(z, 1) / c
+            x = z - mu[:, None]
+            x *= x
+            cv2[lo + at] = (np.add.reduce(x, 1) / (c - 1)) / (mu * mu)
+    return est, cv2
+
+
 def bootstrap_ci(
     log_weights,
     replications: int = 1000,
@@ -95,24 +136,7 @@ def bootstrap_ci(
         raise ValueError("alpha must be in (0, 1)")
     if rng is None:
         rng = np.random.default_rng()
-    n = lw.size
-    est = np.empty(replications)
-    cv2 = np.empty(replications)
-    # rng.integers(size=(rows, n)) consumes the stream exactly as `rows`
-    # calls with size=n would, so the blocking leaves the output unchanged
-    rows = max(1, min(_BOOTSTRAP_BLOCK_ROWS, _BOOTSTRAP_BLOCK_CELLS // n))
-    for lo in range(0, replications, rows):
-        hi = min(lo + rows, replications)
-        picks = lw[rng.integers(0, n, size=(hi - lo, n))]
-        est[lo:hi] = logsumexp(picks, axis=1) - math.log(n)
-        for b, pick in enumerate(picks, lo):
-            finite = pick[np.isfinite(pick)]
-            if finite.size <= 1:
-                cv2[b] = 0.0
-            else:
-                z = np.exp(finite - finite.max())
-                mu = z.mean()
-                cv2[b] = z.var(ddof=1) / (mu * mu)
+    est, cv2 = _bootstrap_replicates(lw, replications, rng)
     est.sort()
     cv2.sort()
     lo, hi = alpha / 2.0, 1.0 - alpha / 2.0

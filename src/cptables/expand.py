@@ -123,12 +123,17 @@ def expand_paths(
     if layer_axis != 0:
         perm = (layer_axis,) + tuple(a for a in range(3) if a != layer_axis)
         inner = _expand3(permute_marginal_axes(m, perm), policy, max_leaves)
+        # turn every reached table back in one pass: stack the keys as one
+        # (tables, *sizes) array, transpose it once and cut the C-order
+        # bytes into keys again
         inv = tuple(int(i) for i in np.argsort(perm))
+        stacked = np.frombuffer(b"".join(inner.tables), dtype=np.int8)
+        stacked = stacked.reshape((len(inner.tables),) + inner.dims.sizes)
+        flat = np.transpose(stacked, (0,) + tuple(1 + a for a in inv)).tobytes()
+        size = m.dims.ncells
         tables = {
-            np.ascontiguousarray(
-                np.transpose(inner.table_array(k), inv)
-            ).tobytes(): q
-            for k, q in inner.tables.items()
+            flat[lo:lo + size]: q
+            for lo, q in zip(range(0, len(flat), size), inner.tables.values())
         }
         return PathExpansion(m.dims, tables, inner.reject_mass, inner.leaves)
     return _expand3(m, policy, max_leaves)
@@ -228,7 +233,7 @@ def _expand3(m: MarginalSet, policy: _Policy, max_leaves: int) -> PathExpansion:
             layer = -1
             if policy.layer_pass and policy.nosat_mid:
                 mark = state.mark()
-                if state.initial_reduce() >= 0:
+                if state.close_saturated() >= 0:
                     leaf_reject(logp)
                     node = _REJECT
                 else:

@@ -182,6 +182,28 @@ class TableState:
         """Seed the worklist with every line (axes in order) and propagate."""
         return self.propagate(deque(range(self.geo.nlines)), nosat_axes)
 
+    def close_saturated(self) -> int:
+        """Full-strength propagation from a fixpoint of the light rules
+        (saturation masked): seed only the saturated lines, free > 0 and
+        residual == free, in ascending id.  At such a fixpoint no other
+        line can fire until one of its cells is set, which queues it, and
+        the forcing rules are monotone, so the cells and the verdict are
+        those of initial_reduce()."""
+        return self.propagate(deque(
+            lid for lid, (r, f) in enumerate(zip(self.rs, self.free))
+            if r == f and f
+        ))
+
+    def copy(self) -> "TableState":
+        """The same partial assignment in fresh lists, with an empty trail."""
+        new = TableState.__new__(TableState)
+        new.geo = self.geo
+        new.cells = self.cells.copy()
+        new.rs = self.rs.copy()
+        new.free = self.free.copy()
+        new.trail = []
+        return new
+
     def mark(self) -> int:
         return len(self.trail)
 

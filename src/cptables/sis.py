@@ -22,7 +22,10 @@ Two proposal presets differ in how hard mid-run propagation forces:
     (certain inclusions: the conditional Poisson limit of infinite odds,
     contributing log 1 to log q).  Each time a layer completes, one
     full-strength reduction pass closes out whatever the light rules left
-    behind, and a contradiction there rejects the sample.
+    behind, and a contradiction there rejects the sample.  That pass
+    seeds only the saturated lines: at a fixpoint of the light rules no
+    other line can fire before one of its cells is set, and the rules are
+    monotone, so it ends in the cells and verdict of a pass over all lines.
   * "guided"   - saturated lines are filled immediately everywhere (all
     remaining cells 1), so infeasibility surfaces as early as per-line
     bounds can see it.  Higher acceptance on hard instances, same
@@ -35,7 +38,11 @@ always applies the saturation rule on every axis: full lines in the
 *input* margins are structural ones, not sampling events.
 
 run_sis derives one RNG stream per sample index from the master seed, so
-results are reproducible and independent of the worker count.
+results are reproducible and independent of the worker count.  What is the
+same for every proposal is done once: run_sis validates the margins, and
+each chunk of proposals (in its own pool worker) turns them so the layers
+run along axis 0 and reduces the root; each proposal starts from a copy of
+that reduced state.
 """
 
 from __future__ import annotations
@@ -132,6 +139,42 @@ def _finish(m: MarginalSet, state: TableState, log_q: float) -> SampleOutcome:
     return SampleOutcome("accepted", table=table, log_q=min(log_q, 0.0))
 
 
+@dataclass(frozen=True)
+class _Start:
+    """What every proposal of one run starts from: the margins with the
+    layers along axis 0, the inverse of that axis permutation (None when
+    the layers already run along axis 0), and the root state after the
+    initial reduction (None when the margins are infeasible there)."""
+
+    m: MarginalSet
+    inv: tuple[int, ...] | None
+    root: TableState | None
+
+    def fresh(self) -> TableState:
+        """A proposal's own copy of the reduced root."""
+        if self.root is None:
+            raise SampleRejected("initial-reduction")
+        return self.root.copy()
+
+
+def _prepare(m: MarginalSet, layer_axis: int = 0) -> _Start:
+    """Turn a three-way table's layer axis to the front and reduce the
+    root once.  The caller has validated the margins; d != 3 ignores
+    layer_axis."""
+    inv = None
+    if m.dims.d == 3:
+        if not 0 <= layer_axis < 3:
+            raise ValueError("layer_axis must be 0, 1 or 2")
+        if layer_axis != 0:
+            perm = (layer_axis,) + tuple(a for a in range(3) if a != layer_axis)
+            inv = tuple(int(i) for i in np.argsort(perm))
+            m = permute_marginal_axes(m, perm)
+    root = TableState.from_marginals(m)
+    if root.initial_reduce() >= 0:
+        root = None
+    return _Start(m, inv, root)
+
+
 def sample_table3(
     m: MarginalSet,
     rng: np.random.Generator | None = None,
@@ -139,31 +182,28 @@ def sample_table3(
     layer_axis: int = 0,
     proposal: str = "classic",
     _choose=None,
+    _start: _Start | None = None,
 ) -> SampleOutcome:
-    """Draw one proposal for a three-way table, layer by layer."""
-    validate_marginals(m)
-    if m.dims.d != 3:
-        raise ValueError("sample_table3 needs a three-way marginal set")
-    if not 0 <= layer_axis < 3:
-        raise ValueError("layer_axis must be 0, 1 or 2")
+    """Draw one proposal for a three-way table, layer by layer.  A run
+    passes its prepared start (which then fixes the layer axis); a direct
+    call prepares one."""
+    if _start is None:
+        validate_marginals(m)
+        if m.dims.d != 3:
+            raise ValueError("sample_table3 needs a three-way marginal set")
+        _start = _prepare(m, layer_axis)
     policy = _policy(proposal)
     choose = _choose if _choose is not None else _rng_chooser(rng)
-    if layer_axis != 0:
-        perm = (layer_axis,) + tuple(a for a in range(3) if a != layer_axis)
-        out = _sample3_core(permute_marginal_axes(m, perm), choose, policy)
-        if not out.accepted:
-            return out
-        inv = tuple(int(i) for i in np.argsort(perm))
-        table = BinaryTable(m.dims, np.transpose(out.table.cells, inv))
-        return SampleOutcome("accepted", table=table, log_q=out.log_q)
-    return _sample3_core(m, choose, policy)
+    out = _sample3_core(_start, choose, policy)
+    if _start.inv is None or not out.accepted:
+        return out
+    table = BinaryTable(m.dims, np.transpose(out.table.cells, _start.inv))
+    return SampleOutcome("accepted", table=table, log_q=out.log_q)
 
 
-def _sample3_core(m: MarginalSet, choose, policy: _Policy) -> SampleOutcome:
-    state = TableState.from_marginals(m)
+def _sample3_core(start: _Start, choose, policy: _Policy) -> SampleOutcome:
     try:
-        if state.initial_reduce() >= 0:
-            raise SampleRejected("initial-reduction")
+        state = start.fresh()
         nlayers, n, _ = state.geo.sizes
         base = state.geo.offset[2]
         log_q = 0.0
@@ -186,9 +226,9 @@ def _sample3_core(m: MarginalSet, choose, policy: _Policy) -> SampleOutcome:
                 break
             log_q += sample_layer(state, best_i, choose, policy.nosat_mid)
             if policy.layer_pass and policy.nosat_mid:
-                if state.initial_reduce() >= 0:
+                if state.close_saturated() >= 0:
                     raise SampleRejected(f"layer={best_i} closing-pass")
-        return _finish(m, state, log_q)
+        return _finish(start.m, state, log_q)
     except SampleRejected as r:
         return SampleOutcome("rejected", reject_stage=r.stage)
 
@@ -199,19 +239,21 @@ def sample_table_d(
     *,
     proposal: str = "classic",
     _choose=None,
+    _start: _Start | None = None,
 ) -> SampleOutcome:
     """Draw one proposal for a d-way table: columns along the last axis,
     largest residual sum first.  Three-way input delegates to the layered
     engine; d = 2 works as well (the column law reduces to r / (n - g))."""
-    validate_marginals(m)
     if m.dims.d == 3:
-        return sample_table3(m, rng, proposal=proposal, _choose=_choose)
+        return sample_table3(m, rng, proposal=proposal, _choose=_choose,
+                             _start=_start)
+    if _start is None:
+        validate_marginals(m)
+        _start = _prepare(m)
     _policy(proposal)  # validate; no layer nesting, so both presets coincide
     choose = _choose if _choose is not None else _rng_chooser(rng)
-    state = TableState.from_marginals(m)
     try:
-        if state.initial_reduce() >= 0:
-            raise SampleRejected("initial-reduction")
+        state = _start.fresh()
         geo = state.geo
         lo = geo.offset[geo.d - 1]
         hi = geo.nlines
@@ -242,13 +284,14 @@ def _weight_chunk(
     m: MarginalSet, seed: int, layer_axis: int, proposal: str, lo: int, hi: int
 ):
     out = np.empty(hi - lo)
+    start = _prepare(m, layer_axis)
     three_way = m.dims.d == 3
     for i in range(lo, hi):
         rng = _per_sample_rng(seed, i)
         if three_way:
-            o = sample_table3(m, rng, layer_axis=layer_axis, proposal=proposal)
+            o = sample_table3(m, rng, proposal=proposal, _start=start)
         else:
-            o = sample_table_d(m, rng, proposal=proposal)
+            o = sample_table_d(m, rng, proposal=proposal, _start=start)
         out[i - lo] = -o.log_q if o.accepted else -np.inf
     return out
 
@@ -292,15 +335,16 @@ def draw_accepted_tables(
     if max_attempts is None:
         max_attempts = 1000 * count
     validate_marginals(m)
+    start = _prepare(m, layer_axis)
     three_way = m.dims.d == 3
     accepted: list[SampleOutcome] = []
     attempt = 0
     while len(accepted) < count and attempt < max_attempts:
         rng = _per_sample_rng(seed, attempt)
         if three_way:
-            o = sample_table3(m, rng, layer_axis=layer_axis, proposal=proposal)
+            o = sample_table3(m, rng, proposal=proposal, _start=start)
         else:
-            o = sample_table_d(m, rng, proposal=proposal)
+            o = sample_table_d(m, rng, proposal=proposal, _start=start)
         if o.accepted:
             accepted.append(o)
         attempt += 1

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from cptables import (
+    BootstrapCI,
     EstimateReport,
     bootstrap_ci,
     cv_squared,
@@ -13,7 +15,12 @@ from cptables import (
     format_count_from_log,
     summarize,
 )
-from cptables.estimator import percentile_nearest_rank
+from cptables.estimator import (
+    _BOOTSTRAP_BLOCK_CELLS,
+    _BOOTSTRAP_BLOCK_ROWS,
+    _bootstrap_replicates,
+    percentile_nearest_rank,
+)
 
 NEG_INF = -math.inf
 
@@ -76,6 +83,74 @@ def test_bootstrap_ci_pinned_to_the_per_replication_resampler():
     ci = bootstrap_ci(lw, replications=600, rng=np.random.default_rng(99))
     assert ci.estimate_log == (10.214072172338618, 10.967887032249358)
     assert ci.cv2 == (2.212452915203058, 5.204072614761692)
+
+
+def _reference_replicates(lw, replications, rng):
+    # the resampler with one cv^2 computation per replication, as it was
+    # before the replications were grouped by their accepted count
+    n = lw.size
+    est = np.empty(replications)
+    cv2 = np.empty(replications)
+    rows = max(1, min(_BOOTSTRAP_BLOCK_ROWS, _BOOTSTRAP_BLOCK_CELLS // n))
+    for lo in range(0, replications, rows):
+        hi = min(lo + rows, replications)
+        picks = lw[rng.integers(0, n, size=(hi - lo, n))]
+        est[lo:hi] = logsumexp(picks, axis=1) - math.log(n)
+        for b, pick in enumerate(picks, lo):
+            finite = pick[np.isfinite(pick)]
+            if finite.size <= 1:
+                cv2[b] = 0.0
+            else:
+                z = np.exp(finite - finite.max())
+                mu = z.mean()
+                cv2[b] = z.var(ddof=1) / (mu * mu)
+    return est, cv2
+
+
+def _reference_ci(lw, replications, alpha, rng):
+    est, cv2 = _reference_replicates(lw, replications, rng)
+    est.sort()
+    cv2.sort()
+    lo, hi = alpha / 2.0, 1.0 - alpha / 2.0
+    return BootstrapCI(
+        (percentile_nearest_rank(est, lo), percentile_nearest_rank(est, hi)),
+        (percentile_nearest_rank(cv2, lo), percentile_nearest_rank(cv2, hi)),
+        replications,
+        alpha,
+    )
+
+
+# (stream length n, rejection rate, replications B): no, some and almost
+# all rejections; n = 1 and 2; B = 1 and B off the block size (54 rows of
+# 151 entries, 256 rows of 1 or 2); at 97% rejection many replications
+# draw zero or one accepted entries
+BOOTSTRAP_CASES = [
+    (151, 0.0, 600),
+    (151, 0.3, 1000),
+    (151, 0.97, 777),
+    (40, 0.97, 300),
+    (151, 0.3, 1),
+    (1, 0.0, 1),
+    (1, 0.0, 300),
+    (1, 1.0, 5),
+    (2, 0.0, 257),
+    (2, 0.5, 700),
+]
+
+
+@pytest.mark.parametrize("n,reject,b", BOOTSTRAP_CASES)
+def test_grouped_bootstrap_matches_the_per_replication_loop(n, reject, b):
+    for seed in range(4):
+        rng = np.random.default_rng([seed, n, b])
+        lw = rng.normal(8.0, 1.0 + seed, size=n)
+        lw[rng.random(n) < reject] = NEG_INF
+        est, cv2 = _bootstrap_replicates(lw, b, np.random.default_rng(seed))
+        ref_est, ref_cv2 = _reference_replicates(lw, b, np.random.default_rng(seed))
+        assert est.tobytes() == ref_est.tobytes()
+        assert cv2.tobytes() == ref_cv2.tobytes()
+        alpha = (0.05, 0.1, 0.5, 0.01)[seed]
+        got = bootstrap_ci(lw, b, alpha, np.random.default_rng(seed + 10))
+        assert got == _reference_ci(lw, b, alpha, np.random.default_rng(seed + 10))
 
 
 def test_bootstrap_ci_degenerate_on_a_constant_stream():

@@ -17,6 +17,8 @@ from cptables import (
     semimagic_margins,
     structural_zero_count,
 )
+from cptables.layers import SampleRejected, sample_layer
+from cptables.sis import _rng_chooser
 
 
 def test_latin_square_margins_pin_nothing():
@@ -193,3 +195,55 @@ def test_residual_bytes_pack_narrow_and_wide():
     packed = wide.residual_bytes()
     assert len(packed) == wide.geo.nlines * array(code).itemsize
     assert array(code, packed).tolist() == wide.rs
+
+
+def _check_closing_pass(seed, sizes, dens) -> tuple[int, int]:
+    """Drive a classic proposal layer by layer; at each layer end (a fixpoint
+    of the light rules) run the saturated closing pass and initial_reduce on
+    two copies of the state and compare them.  Returns how many of those
+    passes set a cell and how many found a contradiction."""
+    rng = np.random.default_rng(seed)
+    cells = (rng.random(sizes) < dens).astype(int)
+    state = TableState.from_marginals(marginals_of(BinaryTable.from_array(cells)))
+    assert state.initial_reduce() < 0
+    choose = _rng_chooser(rng)
+    fired = rejected = 0
+    for layer in rng.permutation(sizes[0]).tolist():
+        try:
+            sample_layer(state, layer, choose, (0, 1, 2))
+        except SampleRejected:
+            break
+        before = (list(state.cells), list(state.rs), list(state.free))
+        closed, full = state.copy(), state.copy()
+        assert closed.trail == [] and full.trail == []
+        v_closed, v_full = closed.close_saturated(), full.initial_reduce()
+        assert (state.cells, state.rs, state.free) == before
+        assert (v_closed >= 0) == (v_full >= 0)
+        fired += bool(full.trail)
+        if v_full >= 0:
+            # on a contradiction the partial fill depends on the worklist
+            # order; the proposal is rejected either way
+            rejected += 1
+            break
+        assert closed.cells == full.cells
+        assert closed.rs == full.rs
+        assert closed.free == full.free
+        state = full
+    return fired, rejected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(2, 5),
+       st.integers(2, 5), st.floats(0.2, 0.8))
+def test_saturated_closing_pass_matches_initial_reduce(seed, a, b, c, dens):
+    _check_closing_pass(seed, (a, b, c), dens)
+
+
+def test_closing_pass_comparison_sees_fills_and_contradictions():
+    # on 4-5 sided half-full cubes the closing pass often has work to do
+    fired = rejected = 0
+    for seed in range(150):
+        f, r = _check_closing_pass(seed, (4 + seed % 2, 5, 4 + seed // 2 % 2), 0.5)
+        fired += f
+        rejected += r
+    assert fired >= 100 and rejected >= 3

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 from pathlib import Path
@@ -10,11 +11,14 @@ import pytest
 
 from cptables import (
     BinaryTable,
+    Dims,
     InvariantError,
+    MarginalSet,
     SisConfig,
     draw_accepted_tables,
     exact_count,
     fixture,
+    fixture_names,
     marginals_of,
     marginals3,
     run_sis,
@@ -150,8 +154,6 @@ def test_sample_table_d_general_engine():
 
 
 def test_sample_table_d_covers_two_way_tables():
-    from cptables import Dims, MarginalSet
-
     rows = np.array([2, 1, 2])
     cols = np.array([1, 2, 2])
     m2 = MarginalSet(Dims((3, 3)), (cols, rows))
@@ -237,3 +239,98 @@ def test_log_q_overshoot_is_clamped_only_within_tolerance():
     assert out.accepted and out.log_q == 0.0
     with pytest.raises(InvariantError, match="above 1"):
         sample_table3(m, proposal="guided", _choose=overshooting(1e-6))
+
+
+# sha256 digests recorded from the sampler before the start state was
+# prepared once per run and the closing pass was narrowed to saturated
+# lines; weights, accepted tables and their log q must stay bit-for-bit
+PIN_SAMPLES = 64
+PIN_SEED = 7
+PIN_NAMES = fixture_names() + ["semimagic-4-1"]
+
+
+def _multiway_margins(name):
+    if name == "two-way-6x7":
+        rng = np.random.default_rng(0)
+        cells = (rng.random((6, 7)) < 0.5).astype(int)
+        return marginals_of(BinaryTable.from_array(cells))
+    # the 4 x 4 x 4 x 4 table with every line sum 2; classic rejects here
+    assert name == "four-way-4-2"
+    mg = np.full((4, 4, 4), 2, dtype=np.int64)
+    return MarginalSet(Dims((4, 4, 4, 4)), tuple(mg.copy() for _ in range(4)))
+
+
+def _weights_digest(margins, proposal, axis=0):
+    h = hashlib.sha256()
+    for m in margins:
+        cfg = SisConfig(PIN_SAMPLES, PIN_SEED, layer_axis=axis, proposal=proposal)
+        h.update(run_sis(m, cfg).tobytes())
+    return h.hexdigest()
+
+
+def _accepted_digest(m, proposal, axis):
+    outs, attempts = draw_accepted_tables(m, 20, seed=5, layer_axis=axis,
+                                          proposal=proposal)
+    h = hashlib.sha256(str(attempts).encode())
+    for o in outs:
+        h.update(o.table.cells.tobytes())
+        h.update(o.log_q.hex().encode())
+    return h.hexdigest()
+
+
+RUN_SIS_DIGESTS = {
+    ("classic", 0): "ffea7c0ae6124a1a2a6e4b53da6816351908c8650b856c1260a583e78065e63e",
+    ("classic", 1): "59c3c41a3d3dd47ad6e95a98d9881c0639aee58f78e3b2590e1059339ee70a6f",
+    ("classic", 2): "1ecdea29749f738026c84dd0d8ea409d045b107aa592c39390f5ed391b030763",
+    ("guided", 0): "58d3c7283fb158fbb4dba1cec734fb34f71ad0f2f57f9153244880b5de100c07",
+    ("guided", 1): "128f99cfbf11080cccd48977375870bf600158cf00d35637306c8ebeb1e570cc",
+    ("guided", 2): "5792aa2f9c16db1d67babe28284d202fed6b23f676a1f8f2a56acd9210f8341b",
+}
+
+
+@pytest.mark.parametrize("proposal,axis", sorted(RUN_SIS_DIGESTS))
+def test_run_sis_is_pinned_bit_for_bit(proposal, axis):
+    margins = [fixture(n) for n in PIN_NAMES]
+    assert _weights_digest(margins, proposal, axis) == RUN_SIS_DIGESTS[proposal, axis]
+
+
+MULTIWAY_DIGESTS = {
+    ("two-way-6x7", "classic"): "8face1a72645a31ae3f40c0456f9564ad93af81a6c27c92933e0020589d6adba",
+    ("two-way-6x7", "guided"): "8face1a72645a31ae3f40c0456f9564ad93af81a6c27c92933e0020589d6adba",
+    ("four-way-4-2", "classic"): "ccdb6f4b8be8ea9bd369425dc60a7825d54e480a45c4a061a2a9ca6d0b8e3797",
+    ("four-way-4-2", "guided"): "ccdb6f4b8be8ea9bd369425dc60a7825d54e480a45c4a061a2a9ca6d0b8e3797",
+}
+
+
+@pytest.mark.parametrize("name,proposal", sorted(MULTIWAY_DIGESTS))
+def test_multiway_run_sis_is_pinned_bit_for_bit(name, proposal):
+    m = _multiway_margins(name)
+    assert _weights_digest([m], proposal) == MULTIWAY_DIGESTS[name, proposal]
+
+
+ACCEPTED_DIGESTS = {
+    ("ex5_6", "classic", 0): "3bf939a31474f85e9c6015e50c7e63ae0f09e8736cf3abaf261183f350ccf644",
+    ("ex5_6", "classic", 1): "4e2bed8f653d67a28d925525ca59bfef4ba60f23afe84616ec05eab7944ae767",
+    ("ex5_6", "guided", 2): "bf575fd5c357c90f2fb0901fd6ca1205fd6cdbbe3059f077cf3c420a6929cb4e",
+    ("semimagic-4-1", "classic", 0): "f4258eeefd8620b10f18d62eff8d2ef5dffab38ab71a33f9529507661ec94eaf",
+    ("semimagic-4-1", "classic", 1): "073f0918ead0f938e47da1c16fe1601eb3470756f12b6c02f6e2a52d23b9dfe5",
+    ("semimagic-4-1", "guided", 2): "dbfc356cc06aeb019ff9825dc3beea19813d6284b05e952e0d5a344c7f486220",
+}
+
+
+@pytest.mark.parametrize("name,proposal,axis", sorted(ACCEPTED_DIGESTS))
+def test_draw_accepted_tables_is_pinned_bit_for_bit(name, proposal, axis):
+    got = _accepted_digest(fixture(name), proposal, axis)
+    assert got == ACCEPTED_DIGESTS[name, proposal, axis]
+
+
+@pytest.mark.parametrize("name,axis", [
+    ("ex5_5", 1), ("ex5_13", 2), ("four-way-4-2", 0),
+])
+def test_prepared_start_is_worker_count_invariant(name, axis):
+    # every chunk prepares its own start, in the pool's workers as well
+    m = _multiway_margins(name) if name == "four-way-4-2" else fixture(name)
+    one = run_sis(m, SisConfig(60, 6, layer_axis=axis, workers=1))
+    two = run_sis(m, SisConfig(60, 6, layer_axis=axis, workers=2))
+    assert not np.all(np.isfinite(one))  # rejections included
+    assert one.tobytes() == two.tobytes()
