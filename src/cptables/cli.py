@@ -39,6 +39,9 @@ from .ucinet import UcinetFormatError, parse_ucinet_dl
 
 USAGE_ERROR = 2
 INFEASIBLE = 1
+# `exact`'s default node budget: the count's memo grows about 100-150 MB
+# per million nodes, so an unbounded search can exhaust the host's memory
+EXACT_BUDGET = 1_000_000
 
 
 def _load_input(source: str) -> MarginalSet:
@@ -230,9 +233,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("exact", help="exact count or enumeration by search")
     add_input(sp)
-    sp.add_argument("--budget", type=int, default=None,
-                    help="search node limit; it also bounds the count's memo, "
-                    "about 7 MB for the order-5 Latin squares")
+    sp.add_argument("--budget", type=int, default=EXACT_BUDGET,
+                    help=f"search node limit (default {EXACT_BUDGET:,}); it also "
+                    "bounds the count's memo, about 100-150 MB per million "
+                    "nodes; past it the command exits 1 with the partial count")
     sp.add_argument("--enumerate", type=int, default=None, metavar="LIMIT",
                     help="list up to LIMIT tables instead of counting")
     sp.set_defaults(fn=_cmd_exact)

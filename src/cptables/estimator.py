@@ -15,6 +15,15 @@ resampled in blocks, and within a block their cv^2 values are computed per
 group of replications with the same number of accepted entries, with the
 same operations in the same order as cv_squared, so each value is bitwise
 the one a replication-by-replication loop gives.
+
+The log-sum-exp is in-house, numpy only, and follows the algorithm of
+scipy.special.logsumexp step for step, so it returns the same bits: the
+maxima of each row are set aside, and with m of them and s the sum of
+exp(a - max) over the rest the result is log1p(s/m) + log(m) + max.
+(scipy recomputes a non-finite result as log(sum(exp(a))); without nan
+entries that gives the same -inf or +inf, so the step is left out.)  The
+bootstrap computes exp(picks - rowmax) once per block and takes both the
+replicated estimate and cv^2 from it.
 """
 
 from __future__ import annotations
@@ -23,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 _BOOTSTRAP_STREAM = 1 << 40  # spawn key; never collides with sample indices
 # replications resampled per numpy call: at most 256, and at most 2**13
@@ -32,13 +40,40 @@ _BOOTSTRAP_BLOCK_ROWS = 256
 _BOOTSTRAP_BLOCK_CELLS = 1 << 13
 
 
+def _logsumexp_tail(a: np.ndarray, top: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) of each row of the 2-D array a, given its row maxima
+    top (shape (rows, 1)) and z = exp(a - top); z is overwritten."""
+    at_top = a == top
+    m = np.add.reduce(at_top, 1)
+    np.copyto(z, 0.0, where=at_top)
+    with np.errstate(divide="ignore", invalid="ignore"):  # nan rows: m = 0
+        return np.log1p(np.add.reduce(z, 1) / m) + np.log(m) + top[:, 0]
+
+
+def _exp_from_top(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(top, z): the row maxima of the 2-D array a and exp(a - top)."""
+    top = a.max(axis=1, keepdims=True)
+    z = np.empty_like(a)
+    with np.errstate(invalid="ignore"):  # -inf - -inf on all -inf rows
+        np.subtract(a, top, out=z)
+    np.exp(z, out=z)
+    return top, z
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) of each row of a 2-D array, bitwise equal to
+    scipy.special.logsumexp(a, axis=1)."""
+    top, z = _exp_from_top(a)
+    return _logsumexp_tail(a, top, z)
+
+
 def estimate_log_count(log_weights) -> float:
     """log of the estimated table count: log(mean of Y_i).  A stream with
     no acceptances estimates zero tables (-inf)."""
     lw = np.asarray(log_weights, dtype=float)
     if lw.size == 0:
         raise ValueError("empty weight stream")
-    return float(logsumexp(lw) - math.log(lw.size))
+    return float(_logsumexp_rows(lw.reshape(1, -1))[0] - math.log(lw.size))
 
 
 def cv_squared(log_weights) -> float:
@@ -77,40 +112,51 @@ class BootstrapCI:
     alpha: float
 
 
+def _cv2_rows(z: np.ndarray, c: int):
+    """cv^2 of each row of z, c entries per row, by the ufuncs of z.mean()
+    and z.var(ddof=1) in their order; 0 when c <= 1."""
+    if c <= 1:
+        return 0.0
+    mu = np.add.reduce(z, 1) / c
+    x = z - mu[:, None]
+    x *= x
+    return (np.add.reduce(x, 1) / (c - 1)) / (mu * mu)
+
+
 def _bootstrap_replicates(
     lw: np.ndarray, replications: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """The replicated log estimates and cv^2 values, in replication order.
 
-    Per block, the replications are grouped by their number c of accepted
-    entries; each group's entries form one (rows, c) array, on which the
-    ufuncs of z.mean() and z.var(ddof=1) run row by row in the same order,
-    so every cv^2 is bitwise what cv_squared gives on that replication."""
+    Per block, z = exp(picks - rowmax) is computed once.  cv^2 runs on z:
+    a stream without rejections has one group, all rows with c = n entries;
+    otherwise each row's accepted entries of z are gathered and the rows
+    grouped by their count c, each group one (rows, c) array.  The estimate
+    is then the log-sum-exp finished from z with the maxima zeroed.  Every
+    value is bitwise what cv_squared and scipy.special.logsumexp give on
+    that replication."""
     n = lw.size
     est = np.empty(replications)
     cv2 = np.empty(replications)
+    rejections = not np.isfinite(lw).all()
     # rng.integers(size=(rows, n)) consumes the stream exactly as `rows`
     # calls with size=n would, so the blocking leaves the output unchanged
     rows = max(1, min(_BOOTSTRAP_BLOCK_ROWS, _BOOTSTRAP_BLOCK_CELLS // n))
     for lo in range(0, replications, rows):
         hi = min(lo + rows, replications)
         picks = lw[rng.integers(0, n, size=(hi - lo, n))]
-        est[lo:hi] = logsumexp(picks, axis=1) - math.log(n)
-        finite = np.isfinite(picks)
-        vals = picks[finite]  # each row's finite entries, row after row
-        counts = finite.sum(axis=1)
-        starts = np.cumsum(counts) - counts
-        for c in np.unique(counts).tolist():
-            at = np.flatnonzero(counts == c)
-            if c <= 1:
-                cv2[lo + at] = 0.0
-                continue
-            f = vals[starts[at, None] + np.arange(c)]
-            z = np.exp(f - f.max(axis=1, keepdims=True))
-            mu = np.add.reduce(z, 1) / c
-            x = z - mu[:, None]
-            x *= x
-            cv2[lo + at] = (np.add.reduce(x, 1) / (c - 1)) / (mu * mu)
+        top, z = _exp_from_top(picks)
+        if rejections:
+            finite = np.isfinite(picks)
+            vals = z[finite]  # each row's accepted entries, row after row
+            counts = finite.sum(axis=1)
+            starts = np.cumsum(counts) - counts
+            for c in np.unique(counts).tolist():
+                at = np.flatnonzero(counts == c)
+                cv2[lo + at] = _cv2_rows(vals[starts[at, None] + np.arange(c)], c)
+        else:
+            cv2[lo:hi] = _cv2_rows(z, n)
+        est[lo:hi] = _logsumexp_tail(picks, top, z) - math.log(n)
     return est, cv2
 
 
@@ -122,7 +168,8 @@ def bootstrap_ci(
 ) -> BootstrapCI:
     """Resample the full stream with replacement, N entries per replication,
     B times; return the [alpha/2, 1 - alpha/2] nearest-rank percentile
-    intervals of the replicated log estimates and cv^2 values.
+    intervals of the replicated log estimates and cv^2 values.  Every log
+    weight must be finite or -inf (a rejection).
 
     Replications that happen to draw no accepted entry contribute estimate
     -inf and cv^2 0 (unreachable at the acceptance rates these runs see).
@@ -130,6 +177,8 @@ def bootstrap_ci(
     lw = np.asarray(log_weights, dtype=float)
     if lw.size == 0:
         raise ValueError("empty weight stream")
+    if not (lw < math.inf).all():
+        raise ValueError("log weights must be finite or -inf")
     if replications < 1:
         raise ValueError("replications must be >= 1")
     if not (0.0 < alpha < 1.0):

@@ -14,7 +14,7 @@ from cptables import (
     parse_marginal_text,
     parse_ucinet_dl_text,
 )
-from cptables.cli import main
+from cptables.cli import EXACT_BUDGET, _build_parser, main
 
 INFEASIBLE_TEXT = "dims: 2 2 2\nsi: 0 2 2 0\nsj: 1 1 1 1\nsk: 2 0 0 2\n"
 INVALID_TEXT = "dims: 2 2 2\nsi: 1 1 1 1\nsj: 1 1 1 1\nsk: 2 1 1 1\n"
@@ -129,6 +129,12 @@ def test_exact_budget_exceeded_exits_one(capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "budget" in captured.err
+
+
+def test_exact_budget_defaults_to_a_finite_node_limit():
+    args = _build_parser().parse_args(["exact", "ex5_6"])
+    assert args.budget == EXACT_BUDGET
+    assert isinstance(args.budget, int) and 0 < args.budget < math.inf
 
 
 def test_ingest_ucinet_writes_margins(capsys, tmp_path):

@@ -1,8 +1,15 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp  # test-only reference
 
 from cptables import (
     BootstrapCI,
@@ -12,6 +19,7 @@ from cptables import (
     estimate_log_count,
     estimate_table_count,
     fixture,
+    fixture_names,
     format_count_from_log,
     summarize,
 )
@@ -19,6 +27,7 @@ from cptables.estimator import (
     _BOOTSTRAP_BLOCK_CELLS,
     _BOOTSTRAP_BLOCK_ROWS,
     _bootstrap_replicates,
+    _logsumexp_rows,
     percentile_nearest_rank,
 )
 
@@ -46,6 +55,46 @@ def test_cv_squared_known_values_and_scale_invariance():
     assert cv_squared([math.log(7), NEG_INF]) == 0.0
     with pytest.raises(ValueError):
         cv_squared([NEG_INF, NEG_INF])
+
+
+# entries from a small pool tie often; the pool holds -inf and +inf and
+# magnitudes up to 1e3, where a plain log(sum(exp(a))) overflows
+_LSE_ENTRY = st.one_of(
+    st.sampled_from([NEG_INF, math.inf, -1e3, -2.5, 0.0, 1e-300, 7.0, 1e3]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 40)),
+                  elements=_LSE_ENTRY),
+       st.lists(st.integers(0, 5), max_size=3))
+@example(np.array([[3.0, 3.0, 1.0], [NEG_INF] * 3, [NEG_INF, 2.0, 2.0]]), [])
+@example(np.array([[5.0], [NEG_INF], [1e3]]), [])
+@example(np.array([[1e3, 1e3 - 1e-13, 999.0, NEG_INF]]), [])
+def test_logsumexp_rows_is_scipys_bit_for_bit(a, dead_rows):
+    a[[r for r in dead_rows if r < a.shape[0]]] = NEG_INF  # rows all -inf
+    with np.errstate(all="ignore"):
+        want = logsumexp(a, axis=1)
+    assert _logsumexp_rows(a.copy()).tobytes() == want.tobytes()
+    for row in a[np.all(a < math.inf, axis=1)]:
+        got = estimate_log_count(row)
+        assert got.hex() == float(logsumexp(row) - math.log(row.size)).hex()
+
+
+def test_no_scipy_module_on_the_cli_path():
+    code = (
+        "import sys\n"
+        "import cptables, cptables.cli\n"
+        "rc = cptables.cli.main(['estimate', 'ex5_6', '--samples', '20', "
+        "'--bootstrap', '50'])\n"
+        "assert rc == 0, rc\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_percentile_nearest_rank_semantics():
@@ -180,6 +229,9 @@ def test_bootstrap_ci_validation():
         bootstrap_ci([0.0], replications=10, alpha=0.0)
     with pytest.raises(ValueError):
         bootstrap_ci([0.0], replications=10, alpha=1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            bootstrap_ci([0.0, bad], replications=10)
 
 
 def test_format_count_from_log():
@@ -225,3 +277,30 @@ def test_estimate_table_count_reports_are_reproducible():
     est = math.exp(a.estimate_log)
     assert abs(est - 28.0) / 28.0 < 0.15
     assert a.ci_estimate_log[0] <= a.estimate_log <= a.ci_estimate_log[1]
+
+
+# sha256 digests of estimate_table_count reports (estimate_log, cv2 and
+# both CIs as float.hex), recorded from the scipy-logsumexp estimator
+# before the in-house log-sum-exp replaced it
+REPORT_PANELS = {
+    "fixtures": (fixture_names() + ["semimagic-4-1"], 150, 2000),
+    "semimagic-7-3": (["semimagic-7-3"], 400, 1000),
+}
+REPORT_DIGESTS = {
+    "fixtures": "9714823ca80bd80bbb04aa58f3a01b796ca09d871ed3a1cf063220411f57449b",
+    "semimagic-7-3": "829fe9647a4a2beaaac617350362ddeb0cd6dc226aad19f6eea571522b37abee",
+}
+
+
+def _report_digest(names, samples, b):
+    h = hashlib.sha256()
+    for name in names:
+        r = estimate_table_count(fixture(name), samples, seed=3, bootstrap_b=b)
+        for v in (r.estimate_log, r.cv2, *r.ci_estimate_log, *r.ci_cv2):
+            h.update(float(v).hex().encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("panel", sorted(REPORT_DIGESTS))
+def test_estimate_reports_are_pinned_bit_for_bit(panel):
+    assert _report_digest(*REPORT_PANELS[panel]) == REPORT_DIGESTS[panel]
