@@ -39,8 +39,9 @@ from .ucinet import UcinetFormatError, parse_ucinet_dl
 
 USAGE_ERROR = 2
 INFEASIBLE = 1
-# `exact`'s default node budget: the count's memo grows about 100-150 MB
-# per million nodes, so an unbounded search can exhaust the host's memory
+# `exact`'s default node budget for a count: its memo grows about 100-150
+# MB per million nodes, so an unbounded count can exhaust the host's memory
+# (enumeration keeps no memo; LIMIT bounds what it holds)
 EXACT_BUDGET = 1_000_000
 
 
@@ -160,7 +161,8 @@ def _cmd_exact(args) -> int:
                 print(np.array2string(cells))
         print(f"enumerated: {len(tables)}")
         return 0
-    count = exact_count(m, budget=args.budget)
+    budget = EXACT_BUDGET if args.budget is None else args.budget
+    count = exact_count(m, budget=budget)
     print(f"exact count: {count}")
     return 0
 
@@ -233,10 +235,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("exact", help="exact count or enumeration by search")
     add_input(sp)
-    sp.add_argument("--budget", type=int, default=EXACT_BUDGET,
-                    help=f"search node limit (default {EXACT_BUDGET:,}); it also "
-                    "bounds the count's memo, about 100-150 MB per million "
-                    "nodes; past it the command exits 1 with the partial count")
+    sp.add_argument("--budget", type=int, default=None,
+                    help=f"search node limit; past it the command exits 1.  A "
+                    f"count defaults to {EXACT_BUDGET:,} nodes, which also bounds "
+                    "its memo (about 100-150 MB per million nodes) and reports the "
+                    "partial count; --enumerate has no default limit")
     sp.add_argument("--enumerate", type=int, default=None, metavar="LIMIT",
                     help="list up to LIMIT tables instead of counting")
     sp.set_defaults(fn=_cmd_exact)

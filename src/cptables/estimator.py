@@ -112,33 +112,21 @@ class BootstrapCI:
     alpha: float
 
 
-def _cv2_rows(z: np.ndarray, c: int):
-    """cv^2 of each row of z, c entries per row, by the ufuncs of z.mean()
-    and z.var(ddof=1) in their order; 0 when c <= 1."""
-    if c <= 1:
-        return 0.0
-    mu = np.add.reduce(z, 1) / c
-    x = z - mu[:, None]
-    x *= x
-    return (np.add.reduce(x, 1) / (c - 1)) / (mu * mu)
-
-
 def _bootstrap_replicates(
     lw: np.ndarray, replications: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """The replicated log estimates and cv^2 values, in replication order.
 
-    Per block, z = exp(picks - rowmax) is computed once.  cv^2 runs on z:
-    a stream without rejections has one group, all rows with c = n entries;
-    otherwise each row's accepted entries of z are gathered and the rows
-    grouped by their count c, each group one (rows, c) array.  The estimate
-    is then the log-sum-exp finished from z with the maxima zeroed.  Every
-    value is bitwise what cv_squared and scipy.special.logsumexp give on
-    that replication."""
+    Per block, z = exp(picks - rowmax) is computed once.  For cv^2 the
+    replications are grouped by their number c of accepted entries; each
+    group's entries of z form one (rows, c) array, on which the ufuncs of
+    z.mean() and z.var(ddof=1) run row by row in the same order.  The
+    estimate is then the log-sum-exp finished from z with the maxima
+    zeroed.  Every value is bitwise what cv_squared and
+    scipy.special.logsumexp give on that replication."""
     n = lw.size
     est = np.empty(replications)
     cv2 = np.empty(replications)
-    rejections = not np.isfinite(lw).all()
     # rng.integers(size=(rows, n)) consumes the stream exactly as `rows`
     # calls with size=n would, so the blocking leaves the output unchanged
     rows = max(1, min(_BOOTSTRAP_BLOCK_ROWS, _BOOTSTRAP_BLOCK_CELLS // n))
@@ -146,16 +134,20 @@ def _bootstrap_replicates(
         hi = min(lo + rows, replications)
         picks = lw[rng.integers(0, n, size=(hi - lo, n))]
         top, z = _exp_from_top(picks)
-        if rejections:
-            finite = np.isfinite(picks)
-            vals = z[finite]  # each row's accepted entries, row after row
-            counts = finite.sum(axis=1)
-            starts = np.cumsum(counts) - counts
-            for c in np.unique(counts).tolist():
-                at = np.flatnonzero(counts == c)
-                cv2[lo + at] = _cv2_rows(vals[starts[at, None] + np.arange(c)], c)
-        else:
-            cv2[lo:hi] = _cv2_rows(z, n)
+        finite = np.isfinite(picks)
+        vals = z[finite]  # each row's accepted entries, row after row
+        counts = finite.sum(axis=1)
+        starts = np.cumsum(counts) - counts
+        for c in np.unique(counts).tolist():
+            at = np.flatnonzero(counts == c)
+            if c <= 1:
+                cv2[lo + at] = 0.0
+                continue
+            f = vals[starts[at, None] + np.arange(c)]
+            mu = np.add.reduce(f, 1) / c
+            x = f - mu[:, None]
+            x *= x
+            cv2[lo + at] = (np.add.reduce(x, 1) / (c - 1)) / (mu * mu)
         est[lo:hi] = _logsumexp_tail(picks, top, z) - math.log(n)
     return est, cv2
 

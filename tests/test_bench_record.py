@@ -36,7 +36,7 @@ def test_summarize_counts_wins_and_applies_the_gain_and_bound_rules():
     faster = [p * 0.5 for p in parent]
     s = bench_record.summarize(parent, faster, "lower", 0.25)
     assert s["wins"] == 10 and s["pairs"] == 10
-    assert s["gain"] and s["within_bound"]
+    assert s["gain"] and s["within_bound"] == "yes"
     assert s["parent"]["median"] == 1.0 and s["change"]["median"] == 0.5
 
     # ties count for neither side; nine tenths of the pairs is the least
@@ -44,10 +44,31 @@ def test_summarize_counts_wins_and_applies_the_gain_and_bound_rules():
                                "lower", 0.25)
     assert s["wins"] == 9 and s["gain"]
     s = bench_record.summarize(parent, list(parent), "lower", 0.25)
-    assert s["wins"] == 0 and not s["gain"] and s["within_bound"]
+    assert s["wins"] == 0 and not s["gain"] and s["within_bound"] == "yes"
 
     # higher-is-better metrics, and a drop past the bound
     s = bench_record.summarize(parent, [p * 0.7 for p in parent], "higher", 0.25)
-    assert s["wins"] == 0 and not s["gain"] and not s["within_bound"]
+    assert s["wins"] == 0 and not s["gain"] and s["within_bound"] == "no"
     s = bench_record.summarize(parent, [p * 0.8 for p in parent], "higher", 0.25)
-    assert s["within_bound"]
+    assert s["within_bound"] == "yes"
+
+    # a parent spread wider than the bound leaves the metric unresolved,
+    # unless every change run beats every parent run
+    wide = [1.0, 0.6, 1.4, 1.0, 0.7, 1.3, 1.0, 0.8, 1.2, 1.0]
+    s = bench_record.summarize(wide, list(wide), "lower", 0.25)
+    assert s["within_bound"] == "unresolved"
+    s = bench_record.summarize(wide, [0.5 * min(wide)] * 10, "lower", 0.25)
+    assert s["within_bound"] == "yes"
+    s = bench_record.summarize(wide, [0.5 * min(wide)] * 9 + [min(wide)], "lower", 0.25)
+    assert s["within_bound"] == "unresolved"
+    s = bench_record.summarize(wide, [2.0 * p for p in wide], "lower", 0.25)
+    assert s["within_bound"] == "no"
+
+
+def test_fewer_than_ten_pairs_is_a_usage_error():
+    try:
+        bench_record.main(["--pairs", "9"])
+    except SystemExit as e:
+        assert e.code == 2
+    else:
+        raise AssertionError("--pairs 9 was accepted")

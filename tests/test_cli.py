@@ -14,7 +14,8 @@ from cptables import (
     parse_marginal_text,
     parse_ucinet_dl_text,
 )
-from cptables.cli import EXACT_BUDGET, _build_parser, main
+from cptables import cli
+from cptables.cli import EXACT_BUDGET, main
 
 INFEASIBLE_TEXT = "dims: 2 2 2\nsi: 0 2 2 0\nsj: 1 1 1 1\nsk: 2 0 0 2\n"
 INVALID_TEXT = "dims: 2 2 2\nsi: 1 1 1 1\nsj: 1 1 1 1\nsk: 2 1 1 1\n"
@@ -131,10 +132,17 @@ def test_exact_budget_exceeded_exits_one(capsys):
     assert "budget" in captured.err
 
 
-def test_exact_budget_defaults_to_a_finite_node_limit():
-    args = _build_parser().parse_args(["exact", "ex5_6"])
-    assert args.budget == EXACT_BUDGET
-    assert isinstance(args.budget, int) and 0 < args.budget < math.inf
+def test_exact_count_budget_defaults_to_a_finite_node_limit(capsys, monkeypatch):
+    assert isinstance(EXACT_BUDGET, int) and 0 < EXACT_BUDGET < math.inf
+    monkeypatch.setattr(cli, "EXACT_BUDGET", 10)
+    rc = main(["exact", "ex5_6"])
+    assert rc == 1 and "budget" in capsys.readouterr().err
+    # enumeration keeps no memo and is not capped unless --budget is given
+    rc = main(["exact", "ex5_6", "--enumerate", "100"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "enumerated: 28" in out
+    rc = main(["exact", "ex5_6", "--enumerate", "100", "--budget", "10"])
+    assert rc == 1 and "budget" in capsys.readouterr().err
 
 
 def test_ingest_ucinet_writes_margins(capsys, tmp_path):

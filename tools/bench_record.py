@@ -2,13 +2,14 @@
 """Write a committed benchmark record: paired perfbench runs of two commits.
 
     python3 tools/bench_record.py [--parent REV] [--change REV] [--pairs 10]
-                                  [--seed 2001] [--seconds S] [--workload W ...]
+                                  [--seed 2001] [--scratch DIR] [--out PATH]
 
 Both commits are exported with `git archive` into a scratch directory (a
 fresh temporary one unless `--scratch` names one), so the runs see exactly
-the committed files.  For each workload, pair k runs `perfbench/run.py
---trace 0 --seed <seed + k>` once on each side, the parent first in even
-pairs and the change first in odd ones.  The record, BENCH_<short change
+the committed files.  For each workload of BENCHMARK.json, pair k runs
+`perfbench/run.py --trace 0 --seed <seed + k>` once on each side, for the
+run length BENCHMARK.json sets, the parent first in even pairs and the
+change first in odd ones.  At least ten pairs are run.  The record, BENCH_<short change
 sha>.json in the repository root unless `--out` says otherwise, holds per
 workload and end-to-end metric:
 
@@ -17,14 +18,18 @@ workload and end-to-end metric:
                     neither; `pairs` is their number
   gain              wins in at least nine tenths of the pairs and medians
                     apart by more than the parent's quartile spread
-  within_bound      the change's median no worse than the parent's by more
-                    than the bound BENCHMARK.json fixes for the metric
+  within_bound      "no" when the change's median is worse than the
+                    parent's by more than the bound BENCHMARK.json fixes
+                    for the metric; otherwise "unresolved" when the
+                    parent's quartile spread is wider than that bound,
+                    relative to its median, and some change run reads no
+                    better than some parent run; otherwise "yes"
 
 plus every run's values, its correct/failed counts, its quality line
 (acceptance, cv^2, ESS/N, log10 estimate) and the first run's header on
 each side (CPU, nproc, Python and numpy versions).  A markdown table of the
 medians is printed at the end.  Defaults: the change is HEAD, the parent
-its first parent, the run length and workloads come from BENCHMARK.json.
+its first parent.
 """
 
 from __future__ import annotations
@@ -84,9 +89,9 @@ def parse_run(stdout: str) -> dict:
     }
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SPEC["run_seconds"]), "--trace", "0"]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
     if out.returncode != 0:
         sys.stderr.write(out.stdout + out.stderr)
@@ -95,8 +100,6 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def quartiles(vals: list[float]) -> dict:
-    if len(vals) == 1:
-        return {"median": vals[0], "q1": vals[0], "q3": vals[0]}
     q1, med, q3 = statistics.quantiles(vals, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3}
 
@@ -109,6 +112,14 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     gain = (wins >= 0.9 * len(parent)
             and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"])
     worse_by = -sign * (c["median"] - p["median"]) / abs(p["median"])
+    spread = (p["q3"] - p["q1"]) / abs(p["median"])
+    all_better = all(sign * (y - x) > 0 for x in parent for y in change)
+    if worse_by > bound:
+        within = "no"
+    elif spread > bound and not all_better:
+        within = "unresolved"
+    else:
+        within = "yes"
     return {
         "parent": p,
         "change": c,
@@ -116,7 +127,7 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         "wins": wins,
         "pairs": len(parent),
         "gain": gain,
-        "within_bound": worse_by <= bound,
+        "within_bound": within,
     }
 
 
@@ -131,7 +142,7 @@ def markdown_table(record: dict) -> str:
                 f"| {wl} | {name} | {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] "
                 f"| {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | {s['ratio']:.3f} "
                 f"| {s['wins']}/{s['pairs']} | {'yes' if s['gain'] else 'no'} "
-                f"| {'yes' if s['within_bound'] else 'NO'} |")
+                f"| {s['within_bound']} |")
     return "\n".join(lines)
 
 
@@ -139,18 +150,17 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--change", default="HEAD")
     p.add_argument("--parent", default=None, help="default: the change's first parent")
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--pairs", type=int, default=10, help="at least 10")
     p.add_argument("--seed", type=int, default=2001, help="seed of pair 0; pair k uses seed + k")
-    p.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
-    p.add_argument("--workload", action="append", dest="workloads",
-                   help="repeatable; default: every workload of BENCHMARK.json")
     p.add_argument("--scratch", type=Path, default=None)
     p.add_argument("--out", type=Path, default=None)
     args = p.parse_args(argv)
+    if args.pairs < 10:
+        p.error("--pairs must be at least 10")
 
     change = git("rev-parse", args.change)
     parent = git("rev-parse", args.parent or f"{change}^")
-    workloads = args.workloads or [w["name"] for w in SPEC["workloads"]]
+    workloads = [w["name"] for w in SPEC["workloads"]]
     out = args.out or ROOT / f"BENCH_{change[:7]}.json"
     scratch = Path(tempfile.mkdtemp(prefix="bench_record_", dir=args.scratch))
     trees = {"parent": scratch / "parent", "change": scratch / "change"}
@@ -162,7 +172,7 @@ def main(argv=None) -> int:
             for k in range(args.pairs):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
-                    res = run_once(trees[side], wl, args.seed + k, args.seconds)
+                    res = run_once(trees[side], wl, args.seed + k)
                     res["seed"] = args.seed + k
                     runs[wl][side].append(res)
                     print(f"{wl} pair {k} {side}: "
@@ -176,7 +186,7 @@ def main(argv=None) -> int:
         "change": change,
         "pairs": args.pairs,
         "seeds": [args.seed, args.seed + args.pairs - 1],
-        "seconds": args.seconds,
+        "seconds": SPEC["run_seconds"],
         "quartile_method": "statistics.quantiles(n=4, method='inclusive')",
         "header": {side: runs[workloads[0]][side][0]["header"]
                    for side in ("parent", "change")},
