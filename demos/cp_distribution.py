@@ -9,8 +9,8 @@ pass.  This script shows each piece on a small weight vector:
 
   1. the R(s, w) table from the add-one-item recurrence,
   2. the exact pmf over all subsets of a given size (and that it sums to 1),
-  3. cell success probabilities from line residuals, as used when filling
-     one column of a table,
+  3. cell weights from line residuals, as line_weights computes them when
+     a proposal fills one line of a table,
   4. 20000 sequential draws against the exact pmf (total variation distance).
 
 Run:  python3 demos/cp_distribution.py
@@ -21,13 +21,8 @@ from itertools import combinations
 
 import numpy as np
 
-from cptables.cpdist import (
-    cp_draft_sample,
-    cp_log_pmf,
-    log_esym_table,
-    odds,
-    success_prob_3way,
-)
+from cptables import BinaryTable, TableState, line_weights, marginals_of
+from cptables.cpdist import cp_draft_sample, cp_log_pmf, log_esym_table
 
 
 def main() -> None:
@@ -47,13 +42,24 @@ def main() -> None:
         print(f"  {subset}: {p:.4f}")
     print(f"  sum = {total:.12f}")
 
-    print("\ncell success probabilities from line residuals:")
-    print("  a cell whose row still needs r of n slots and whose column")
-    print("  still needs c of m slots succeeds with probability")
-    print("  p = rc / (rc + (n - r)(m - c)); its CP weight is p/(1-p)")
-    for r, c, n, m in [(1, 1, 3, 3), (2, 1, 3, 3), (2, 2, 3, 4)]:
-        p = success_prob_3way(r, c, n, m)
-        print(f"  r={r} c={c} n={n} m={m}: p = {p:.4f}, weight = {odds(p):.4f}")
+    print("\ncell weights from line residuals:")
+    print("  each cell of the drawn line lies on one crossing line per other")
+    print("  axis; a crossing line that still needs r ones in its f free cells")
+    print("  multiplies the cell's CP weight by r / (f - r)")
+    cells = np.array([[[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]],
+                      [[0, 1, 1, 0], [1, 1, 0, 0], [1, 0, 1, 1]],
+                      [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 1, 1]]])
+    state = TableState.from_marginals(marginals_of(BinaryTable.from_array(cells)))
+    geo = state.geo
+    lid = geo.offset[2]  # the line (0, 0, .) along the last axis
+    free_cids, weights, _ = line_weights(state, lid)
+    for cid, wt in zip(free_cids, weights):
+        factors = " * ".join(
+            f"{state.rs[l]}/({state.free[l]}-{state.rs[l]})"
+            for a, l in enumerate(geo.cell_lines[cid]) if a != 2
+        )
+        where = tuple(int(i) for i in np.unravel_index(cid, geo.sizes))
+        print(f"  cell {where}: weight = {factors} = {wt:.4f}")
 
     rng = np.random.default_rng(0)
     draws = 20000

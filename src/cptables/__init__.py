@@ -15,9 +15,6 @@ from .cpdist import (
     cp_log_pmf,
     log_esym,
     log_esym_table,
-    odds,
-    success_prob_3way,
-    success_prob_multiway,
 )
 from .estimator import (
     BootstrapCI,
@@ -32,7 +29,7 @@ from .estimator import (
 )
 from .expand import PathExpansion, expand_paths
 from .fixtures import fixture, fixture_names, semimagic_margins
-from .layers import descending_order, line_weights, sample_layer
+from .layers import line_weights, sample_layer
 from .marginfile import (
     MarginalFileError,
     format_marginals,
@@ -41,13 +38,7 @@ from .marginfile import (
     write_marginal_file,
 )
 from .oracle import EnumerationBudgetError, exact_count, exact_enumerate
-from .reduction import (
-    ReducedProblem,
-    StructurallyInfeasibleError,
-    TableState,
-    detect_structures,
-    structural_zero_count,
-)
+from .reduction import TableState
 from .sis import SisConfig, draw_accepted_tables, run_sis, sample_table3, sample_table_d
 from .tables import (
     BinaryTable,
@@ -57,11 +48,9 @@ from .tables import (
     MarginalSet,
     MarginalValidationError,
     SampleOutcome,
-    StructureMasks,
     marginals3,
     marginals_of,
     permute_marginal_axes,
-    permute_table_axes,
     validate_marginals,
 )
 from .ucinet import RelationStack, UcinetFormatError, parse_ucinet_dl, parse_ucinet_dl_text
@@ -82,20 +71,15 @@ __all__ = [
     "MarginalSet",
     "MarginalValidationError",
     "PathExpansion",
-    "ReducedProblem",
     "RelationStack",
     "SampleOutcome",
     "SisConfig",
-    "StructurallyInfeasibleError",
-    "StructureMasks",
     "TableState",
     "UcinetFormatError",
     "bootstrap_ci",
     "cp_draft_sample",
     "cp_log_pmf",
     "cv_squared",
-    "descending_order",
-    "detect_structures",
     "draw_accepted_tables",
     "estimate_log_count",
     "estimate_table_count",
@@ -111,22 +95,17 @@ __all__ = [
     "log_esym_table",
     "marginals3",
     "marginals_of",
-    "odds",
     "parse_marginal_file",
     "parse_marginal_text",
     "parse_ucinet_dl",
     "parse_ucinet_dl_text",
     "percentile_nearest_rank",
     "permute_marginal_axes",
-    "permute_table_axes",
     "run_sis",
     "sample_layer",
     "sample_table3",
     "sample_table_d",
     "semimagic_margins",
-    "structural_zero_count",
-    "success_prob_3way",
-    "success_prob_multiway",
     "summarize",
     "validate_marginals",
     "write_marginal_file",

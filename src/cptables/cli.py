@@ -7,9 +7,10 @@ margin sets).  INPUT arguments take either a marginal-file path or a
 bundled fixture name.
 
 Exit codes: 0 success; 1 infeasible input, all proposals rejected, or an
-exceeded search budget; 2 usage or parse errors.  The last stdout line of
-`estimate` is a JSON record; given the same arguments it is byte-identical
-across runs except for the runtime_ms field.
+exceeded search budget; 2 usage or parse errors, including option values
+out of range.  The last stdout line of `estimate` is a JSON record; given
+the same arguments it is byte-identical across runs except for the
+runtime_ms field.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from .marginfile import (
     write_marginal_file,
 )
 from .oracle import EnumerationBudgetError, exact_count, exact_enumerate
-from .reduction import StructurallyInfeasibleError
 from .sis import PROPOSALS, draw_accepted_tables
-from .tables import MarginalSet, MarginalValidationError, marginals_of
+from .tables import MarginalSet, MarginalValidationError
 from .ucinet import UcinetFormatError, parse_ucinet_dl
 
 USAGE_ERROR = 2
@@ -43,6 +43,22 @@ INFEASIBLE = 1
 # MB per million nodes, so an unbounded count can exhaust the host's memory
 # (enumeration keeps no memo; LIMIT bounds what it holds)
 EXACT_BUDGET = 1_000_000
+
+
+class _UsageError(Exception):
+    """An option value outside its range."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise _UsageError(message)
+
+
+def _check_layer_axis(axis: int, m: MarginalSet) -> None:
+    # only a three-way table has layers to turn; other d ignore the axis
+    _require(axis >= 0, f"--layer-axis must be >= 0, got {axis}")
+    _require(m.dims.d != 3 or axis < 3,
+             f"--layer-axis must be 0, 1 or 2 for a three-way table, got {axis}")
 
 
 def _load_input(source: str) -> MarginalSet:
@@ -63,7 +79,14 @@ def _log10(log_value: float | None) -> float | None:
 
 
 def _cmd_estimate(args) -> int:
+    _require(args.samples >= 1, f"--samples must be >= 1, got {args.samples}")
+    _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
+    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
+    _require(args.bootstrap is None or args.bootstrap >= 1,
+             f"--bootstrap must be >= 1, got {args.bootstrap}")
+    _require(0.0 < args.alpha < 1.0, f"--alpha must be in (0, 1), got {args.alpha}")
     m = _load_input(args.input)
+    _check_layer_axis(args.layer_axis, m)
     t0 = time.perf_counter()
     report = estimate_table_count(
         m,
@@ -119,7 +142,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _require(args.count >= 1, f"--count must be >= 1, got {args.count}")
+    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
     m = _load_input(args.input)
+    _check_layer_axis(args.layer_axis, m)
     outcomes, attempts = draw_accepted_tables(
         m,
         args.count,
@@ -146,6 +172,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    _require(args.enumerate is None or args.enumerate >= 1,
+             f"--enumerate must be >= 1, got {args.enumerate}")
     m = _load_input(args.input)
     if args.enumerate is not None:
         tables = exact_enumerate(m, limit=args.enumerate, budget=args.budget)
@@ -265,14 +293,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (MarginalFileError, UcinetFormatError, KeyError) as e:
+    except (MarginalFileError, UcinetFormatError, KeyError, FileNotFoundError,
+            _UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except (MarginalValidationError, StructurallyInfeasibleError,
-            EnumerationBudgetError) as e:
+    except (MarginalValidationError, EnumerationBudgetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INFEASIBLE
 

@@ -7,8 +7,6 @@ w_k = p_k / (1 - p_k) over the chosen k, normalized by the elementary
 symmetric function R(s, w) = sum over size-s subsets of their weight
 products.  Everything here works from the weights:
 
-  * success probabilities for single cells of a tableid column
-    (success_prob_3way / success_prob_multiway) and their odds,
   * R(s, w) via the add-one-item recurrence, never subset enumeration,
   * the exact pmf of a subset, and
   * the sequential sampler of Chen, Dempster & Liu (1994, Biometrika
@@ -51,55 +49,6 @@ def _as_weights(w) -> np.ndarray:
     if w.size and w.min() < 0:
         raise ValueError("weights must be nonnegative")
     return w
-
-
-def success_prob_3way(r: int, c: int, n: int, m: int, g_r: int = 0, g_c: int = 0) -> float:
-    """Bernoulli success probability for one cell of a column being sampled
-    in a three-way table.
-
-    r and c are the residual sums of the two lines through the cell that
-    run across the column direction; n and m are those lines' lengths; g_r
-    and g_c count structural zeros in them.  The cell is a one with
-    probability r*c / (r*c + (n-r-g_r)*(m-c-g_c)).
-    """
-    if not (1 <= r <= n - 1 - g_r) or not (1 <= c <= m - 1 - g_c):
-        raise ValueError(
-            f"residuals must leave a genuine choice: r={r}, c={c}, "
-            f"n={n}, m={m}, g_r={g_r}, g_c={g_c}"
-        )
-    num = r * c
-    return num / (num + (n - r - g_r) * (m - c - g_c))
-
-
-def success_prob_multiway(r, n, g=None) -> float:
-    """d-way generalization of success_prob_3way.
-
-    r, n, g are length-(d-1) sequences: residual sums, lengths, and
-    structural-zero counts of the d-1 cross lines through the cell.  With a
-    single factor this reduces to the two-way law r / (n - g).
-    """
-    r = [int(x) for x in r]
-    n = [int(x) for x in n]
-    g = [0] * len(r) if g is None else [int(x) for x in g]
-    if not (len(r) == len(n) == len(g)) or not r:
-        raise ValueError("r, n, g must be equal-length, nonempty sequences")
-    num = 1
-    den = 1
-    for rk, nk, gk in zip(r, n, g):
-        if not (1 <= rk <= nk - 1 - gk):
-            raise ValueError(
-                f"residuals must leave a genuine choice: r={rk}, n={nk}, g={gk}"
-            )
-        num *= rk
-        den *= nk - rk - gk
-    return num / (num + den)
-
-
-def odds(p: float) -> float:
-    """CP weight of a cell: p / (1 - p) for 0 < p < 1."""
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"probability must be strictly between 0 and 1, got {p}")
-    return p / (1.0 - p)
 
 
 def _esym_rows(w: np.ndarray, smax: int) -> tuple[np.ndarray, float]:

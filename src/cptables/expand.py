@@ -1,9 +1,11 @@
 """Exhaustive expansion of a proposal's decision tree on small problems.
 
-The samplers in sis.py draw one random trajectory; here every conditional
-Poisson draw is split into one branch per admissible subset of the line's
-free cells, weighted by the exact CP probability.  Leaves are either
-accepted tables (with their exact proposal probability q) or dead ends.
+The samplers in sis.py draw one random trajectory; here the same walk
+(the steps in layers.py, from the same prepared start, for any d) splits
+every conditional Poisson draw into one branch per admissible subset of
+the line's free cells, weighted by the exact CP probability.  Leaves are
+either accepted tables (with their exact proposal probability q) or dead
+ends.
 Branch probabilities over all leaves sum to one, giving with no Monte Carlo
 noise:
 
@@ -33,7 +35,6 @@ walk.  On semimagic-4-2 the memo holds a few thousand nodes and adds about
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 import math
@@ -41,17 +42,10 @@ import math
 import numpy as np
 
 from .cpdist import log_esym
-from .layers import line_weights
+from .layers import layer_shape, line_weights, next_layer, next_line, set_line
 from .oracle import EnumerationBudgetError
-from .reduction import TableState
-from .sis import _Policy, _policy
-from .tables import (
-    Dims,
-    InvariantError,
-    MarginalSet,
-    permute_marginal_axes,
-    validate_marginals,
-)
+from .sis import _Policy, _policy, _prepare, _Start
+from .tables import Dims, InvariantError, MarginalSet, validate_marginals
 
 # A memo node is a tuple of edges (lp, bits, child), one per branch in the
 # walk's order: lp is the branch's log probability (None for a layer pass),
@@ -113,34 +107,30 @@ def expand_paths(
     proposal: str = "classic",
     max_leaves: int = 2_000_000,
 ) -> PathExpansion:
-    """Expand every trajectory of the three-way layered proposal."""
+    """Expand every trajectory of the proposal that sample_table_d draws
+    from (sample_table3 for three-way input, with its layer axis)."""
     validate_marginals(m)
-    if m.dims.d != 3:
-        raise ValueError("expand_paths needs a three-way marginal set")
-    if not 0 <= layer_axis < 3:
-        raise ValueError("layer_axis must be 0, 1 or 2")
-    policy = _policy(proposal)
-    if layer_axis != 0:
-        perm = (layer_axis,) + tuple(a for a in range(3) if a != layer_axis)
-        inner = _expand3(permute_marginal_axes(m, perm), policy, max_leaves)
-        # turn every reached table back in one pass: stack the keys as one
-        # (tables, *sizes) array, transpose it once and cut the C-order
-        # bytes into keys again
-        inv = tuple(int(i) for i in np.argsort(perm))
-        stacked = np.frombuffer(b"".join(inner.tables), dtype=np.int8)
-        stacked = stacked.reshape((len(inner.tables),) + inner.dims.sizes)
-        flat = np.transpose(stacked, (0,) + tuple(1 + a for a in inv)).tobytes()
-        size = m.dims.ncells
-        tables = {
-            flat[lo:lo + size]: q
-            for lo, q in zip(range(0, len(flat), size), inner.tables.values())
-        }
-        return PathExpansion(m.dims, tables, inner.reject_mass, inner.leaves)
-    return _expand3(m, policy, max_leaves)
+    policy = _policy(proposal, m.dims.d)
+    start = _prepare(m, layer_axis)
+    inner = _expand(start, policy, max_leaves)
+    if start.inv is None:
+        return inner
+    # turn every reached table back in one pass: stack the keys as one
+    # (tables, *sizes) array, transpose it once and cut the C-order bytes
+    # into keys again
+    stacked = np.frombuffer(b"".join(inner.tables), dtype=np.int8)
+    stacked = stacked.reshape((len(inner.tables),) + inner.dims.sizes)
+    flat = np.transpose(stacked, (0,) + tuple(1 + a for a in start.inv)).tobytes()
+    size = m.dims.ncells
+    tables = {
+        flat[lo:lo + size]: q
+        for lo, q in zip(range(0, len(flat), size), inner.tables.values())
+    }
+    return PathExpansion(m.dims, tables, inner.reject_mass, inner.leaves)
 
 
-def _expand3(m: MarginalSet, policy: _Policy, max_leaves: int) -> PathExpansion:
-    state = TableState.from_marginals(m)
+def _expand(start: _Start, policy: _Policy, max_leaves: int) -> PathExpansion:
+    dims = start.m.dims
     tables: dict[bytes, float] = {}
     tally = {"leaves": 0, "reject": 0.0}
 
@@ -148,42 +138,17 @@ def _expand3(m: MarginalSet, policy: _Policy, max_leaves: int) -> PathExpansion:
         tally["leaves"] += 1
         tally["reject"] += math.exp(logp)
 
-    if state.initial_reduce() >= 0:
+    if start.root is None:
         leaf_reject(0.0)
-        return PathExpansion(m.dims, tables, tally["reject"], tally["leaves"])
+        return PathExpansion(dims, tables, tally["reject"], tally["leaves"])
 
-    nlayers, n, _ = state.geo.sizes
-    base = state.geo.offset[2]
+    state = start.fresh()
     ncells = state.geo.ncells
     # tables travel down the walk as ints, one byte per cell in C order
     one = [1 << 8 * cid for cid in range(ncells)]
+    nlayers = layer_shape(state.geo)[0]
     layer_tag = [i.to_bytes(4, "little", signed=True) for i in range(-1, nlayers)]
     memo: dict[bytes, tuple] = {}
-
-    def next_layer() -> int:
-        best_i = -1
-        best_ones = -1
-        for i in range(nlayers):
-            lo = base + i * n
-            ones_left = 0
-            free_cnt = 0
-            for lid in range(lo, lo + n):
-                ones_left += state.rs[lid]
-                free_cnt += state.free[lid]
-            if free_cnt > 0 and ones_left > best_ones:
-                best_ones = ones_left
-                best_i = i
-        return best_i
-
-    def next_line(layer: int) -> int:
-        lo = base + layer * n
-        best_lid = -1
-        best_rs = -1
-        for lid in range(lo, lo + n):
-            if state.free[lid] > 0 and state.rs[lid] > best_rs:
-                best_rs = state.rs[lid]
-                best_lid = lid
-        return best_lid
 
     def ones_since(mark: int) -> int:
         """The cells set to one since the trail mark, as table bits."""
@@ -229,24 +194,25 @@ def _expand3(m: MarginalSet, policy: _Policy, max_leaves: int) -> PathExpansion:
         if node is not None:
             replay(node, out, logp)
             return node
-        if layer >= 0 and next_line(layer) < 0:
-            layer = -1
-            if policy.layer_pass and policy.nosat_mid:
-                mark = state.mark()
-                if state.close_saturated() >= 0:
-                    leaf_reject(logp)
-                    node = _REJECT
-                else:
-                    bits = ones_since(mark)
-                    node = ((None, bits, visit(-1, out | bits, logp)),)
-                state.undo_to(mark)
-        if node is None and layer < 0:
-            layer = next_layer()
+        lid = next_line(state, layer) if layer >= 0 else -1
+        if lid < 0 and layer >= 0 and policy.layer_pass:
+            # the layer is done: the classic layer-end pass is one edge
+            mark = state.mark()
+            if state.close_saturated() >= 0:
+                leaf_reject(logp)
+                node = _REJECT
+            else:
+                bits = ones_since(mark)
+                node = ((None, bits, visit(-1, out | bits, logp)),)
+            state.undo_to(mark)
+        elif lid < 0:
+            layer = next_layer(state)
             if layer < 0:
                 accept(out, logp)
                 node = _ACCEPT
+            else:
+                lid = next_line(state, layer)
         if node is None:
-            lid = next_line(layer)
             free_cids, weights, certain = line_weights(state, lid)
             size = state.rs[lid] - len(certain)
             positives = [i for i, w in enumerate(weights) if w > 0]
@@ -262,19 +228,14 @@ def _expand3(m: MarginalSet, policy: _Policy, max_leaves: int) -> PathExpansion:
                 for picked in combinations(positives, size):
                     lp = min(sum(log_w[i] for i in picked) - log_r, 0.0)
                     mark = state.mark()
-                    pending: deque = deque()
-                    chosen = set(picked)
-                    for cid in certain:
-                        state.set_cell(cid, 1, pending)
-                    for pos, cid in enumerate(free_cids):
-                        state.set_cell(cid, 1 if pos in chosen else 0, pending)
-                    if state.propagate(pending, policy.nosat_mid) >= 0:
-                        leaf_reject(logp + lp)
-                        edges.append((lp, 0, None))
-                    else:
+                    if set_line(state, free_cids, certain, picked,
+                                policy.nosat_mid):
                         bits = ones_since(mark)
                         child = visit(layer, out | bits, logp + lp)
                         edges.append((lp, bits, child))
+                    else:
+                        leaf_reject(logp + lp)
+                        edges.append((lp, 0, None))
                     state.undo_to(mark)
                 node = tuple(edges)
         memo[key] = node
@@ -282,10 +243,11 @@ def _expand3(m: MarginalSet, policy: _Policy, max_leaves: int) -> PathExpansion:
 
     try:
         # the root's table holds the ones the initial reduction forced
-        visit(-1, ones_since(0), 0.0)
+        visit(-1, int.from_bytes(bytes(c == 1 for c in state.cells), "little"),
+              0.0)
     finally:
         # the walkers refer to each other and themselves through their
         # closures; break those cycles so the tables, the memo and the
         # state are freed on return, not at the next full garbage collection
         del visit, replay
-    return PathExpansion(m.dims, tables, tally["reject"], tally["leaves"])
+    return PathExpansion(dims, tables, tally["reject"], tally["leaves"])

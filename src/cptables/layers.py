@@ -1,22 +1,31 @@
-"""Layer sampling: filling one slice of a three-way table line by line.
+"""The steps of one proposal walk, shared by the sampler and the expander.
 
-A layer is the slice at one fixed first-axis index.  Its lines along the
-last axis are drawn in decreasing order of residual line sum (ties broken by
-ascending index), each as one conditional Poisson draw whose weights come
-from the residual cross margins:
+A walk fills the table layer by layer and, inside a layer, line by line.
+A three-way table's layers are its slices along the first axis, each made
+of its lines along the last axis.  Any other table is a single layer made
+of every line along its last axis.  next_layer picks the layer with the
+most ones left (ties to the smallest index); next_line picks, inside it,
+the line with the largest residual sum (ties to the smallest id).  Each
+line is one conditional Poisson draw whose weights come from the residual
+cross margins:
 
-    w = (rs_a * rs_b) / ((free_a - rs_a) * (free_b - rs_b))
+    w = prod over the crossing lines b of rs_b / (free_b - rs_b)
 
-with rs/free the residual sum and free-cell count of the two lines through
-the cell that cross the drawn line.  A crossing line that is saturated
-(free_a == rs_a) makes the cell a certain inclusion: it is set to one with
-probability one before the conditional Poisson draw over the remaining
-cells, adding nothing to log q.  After every draw the structure rules re-run
-on the residual problem (the saturation rule optionally masked per axis,
-see sis.py); cells they force are probability-1 events and also add nothing
-to log q.  The final line of a layer (and the final layer of a table) is
+with rs/free the residual sum and free-cell count of the lines through the
+cell that cross the drawn line (two factors in a three-way table, one in a
+two-way table).  A crossing line that is saturated (free_b == rs_b) makes
+the cell a certain inclusion: it is set to one with probability one before
+the conditional Poisson draw over the remaining cells, adding nothing to
+log q.  set_line places a draw's cells and re-runs the structure rules on
+the residual problem (the saturation rule optionally masked per axis, see
+sis.py); cells they force are probability-1 events and also add nothing to
+log q.  The final line of a layer (and the final layer of a table) is
 therefore filled deterministically by propagation, and any residual
-mismatch surfaces as infeasibility, i.e. a rejection.
+mismatch surfaces as infeasibility, i.e. a rejection.  The classic
+proposal's layer-end pass is TableState.close_saturated.
+
+sis.py drives these steps with one random draw per line; expand.py
+branches over every admissible subset instead.
 """
 
 from __future__ import annotations
@@ -35,10 +44,47 @@ class SampleRejected(Exception):
         self.stage = stage
 
 
-def descending_order(sums) -> list[int]:
-    """Indices ordered by descending sum; ties broken by ascending index."""
-    vals = list(sums)
-    return sorted(range(len(vals)), key=lambda i: (-vals[i], i))
+def layer_shape(geo) -> tuple[int, int]:
+    """(number of layers, lines per layer).  Layer i holds the lines from
+    offset[d-1] + i * (lines per layer) on, all along the last axis."""
+    if geo.d == 3:
+        return geo.sizes[0], geo.sizes[1]
+    return 1, geo.nlines - geo.offset[-1]
+
+
+def next_layer(state: TableState) -> int:
+    """The layer with the most ones left, ties to the smallest index; -1
+    once every layer is fully determined."""
+    nlayers, n = layer_shape(state.geo)
+    lo = state.geo.offset[-1]
+    rs = state.rs
+    free = state.free
+    best_i = -1
+    best_ones = -1
+    for i in range(nlayers):
+        hi = lo + n
+        ones_left = sum(rs[lo:hi])
+        if ones_left > best_ones and any(free[lo:hi]):
+            best_ones = ones_left
+            best_i = i
+        lo = hi
+    return best_i
+
+
+def next_line(state: TableState, layer: int) -> int:
+    """The open line of a layer with the largest residual sum, ties to the
+    smallest id; -1 once every line of the layer is filled."""
+    n = layer_shape(state.geo)[1]
+    lo = state.geo.offset[-1] + layer * n
+    rs = state.rs
+    free = state.free
+    best_lid = -1
+    best_rs = -1
+    for lid in range(lo, lo + n):
+        if free[lid] > 0 and rs[lid] > best_rs:
+            best_rs = rs[lid]
+            best_lid = lid
+    return best_lid
 
 
 def line_weights(
@@ -84,6 +130,21 @@ def line_weights(
     return free_cids, weights, certain
 
 
+def set_line(
+    state: TableState, free_cids, certain, picked, nosat_axes=()
+) -> bool:
+    """Set a line's certain cells to one, the free cells at the picked
+    positions to one and the other free cells to zero, then propagate.
+    Returns False when propagation finds a dead end."""
+    picked = set(picked)
+    pending: deque = deque()
+    for cid in certain:
+        state.set_cell(cid, 1, pending)
+    for pos, cid in enumerate(free_cids):
+        state.set_cell(cid, 1 if pos in picked else 0, pending)
+    return state.propagate(pending, nosat_axes) < 0
+
+
 def draw_line(
     state: TableState, lid: int, choose, stage: str, nosat_axes=()
 ) -> float:
@@ -97,13 +158,7 @@ def draw_line(
         positions, log_prob = choose(weights, size)
     except CPInfeasibleError:
         raise SampleRejected(f"{stage} cp-infeasible") from None
-    picked = set(positions)
-    pending: deque = deque()
-    for cid in certain:
-        state.set_cell(cid, 1, pending)
-    for pos, cid in enumerate(free_cids):
-        state.set_cell(cid, 1 if pos in picked else 0, pending)
-    if state.propagate(pending, nosat_axes) >= 0:
+    if not set_line(state, free_cids, certain, positions, nosat_axes):
         raise SampleRejected(stage)
     return log_prob
 
@@ -111,27 +166,17 @@ def draw_line(
 def sample_layer(
     state: TableState, layer: int, choose, nosat_axes=()
 ) -> float:
-    """Sample every still-free line of one layer; return the layer's log q.
+    """Draw every still-open line of one layer, in next_line order; return
+    the layer's log q.
 
-    The state must be three-way, at a fixpoint, with layers along axis 0 and
-    drawn lines along axis 2.  Mutates the state in place; raises
+    The state must be at a fixpoint.  Mutates it in place; raises
     SampleRejected when a draw leads to an infeasible residual problem.
     """
-    geo = state.geo
-    n = geo.sizes[1]
-    base = geo.offset[2] + layer * n
     log_q = 0.0
     while True:
-        best_j = -1
-        best_rs = -1
-        for j in range(n):
-            lid = base + j
-            if state.free[lid] > 0 and state.rs[lid] > best_rs:
-                best_rs = state.rs[lid]
-                best_j = j
-        if best_j < 0:
+        lid = next_line(state, layer)
+        if lid < 0:
             return log_q
-        lid = base + best_j
         log_q += draw_line(
-            state, lid, choose, f"layer={layer} column={best_j}", nosat_axes
+            state, lid, choose, f"layer={layer} line={lid}", nosat_axes
         )

@@ -22,29 +22,10 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import (
-    CPTablesError,
-    Dims,
-    MarginalSet,
-    StructureMasks,
-    validate_marginals,
-)
-
-
-class StructurallyInfeasibleError(CPTablesError):
-    """Propagation proved that no table satisfies the margins."""
-
-    def __init__(self, axis: int, index: tuple[int, ...]):
-        super().__init__(
-            f"no table fits the margins: line over axis {axis} at {index} "
-            "cannot meet its residual sum"
-        )
-        self.axis = axis
-        self.index = index
+from .tables import MarginalSet
 
 
 class _Geometry:
@@ -57,7 +38,7 @@ class _Geometry:
     """
 
     __slots__ = ("sizes", "d", "ncells", "nlines", "offset", "line_cells",
-                 "cell_lines", "line_axis", "line_index", "rs_code")
+                 "cell_lines", "line_axis", "rs_code")
 
     def __init__(self, sizes: tuple[int, ...]):
         self.sizes = sizes
@@ -78,7 +59,6 @@ class _Geometry:
         self.line_cells: list[list[int]] = [[] for _ in range(nlines)]
         self.cell_lines: list[tuple[int, ...]] = []
         self.line_axis: list[int] = [0] * nlines
-        self.line_index: list[tuple[int, ...]] = [()] * nlines
         strides = [0] * self.d
         acc = 1
         for a in range(self.d - 1, -1, -1):
@@ -92,15 +72,14 @@ class _Geometry:
                 rest %= strides[a]
             lids = []
             for a in range(self.d):
-                comp = tuple(idx[b] for b in range(self.d) if b != a)
                 flat = 0
-                for b, v in zip((b for b in range(self.d) if b != a), comp):
-                    flat = flat * sizes[b] + v
+                for b in range(self.d):
+                    if b != a:
+                        flat = flat * sizes[b] + idx[b]
                 lid = self.offset[a] + flat
                 lids.append(lid)
                 self.line_cells[lid].append(cid)
                 self.line_axis[lid] = a
-                self.line_index[lid] = comp
             self.cell_lines.append(tuple(lids))
 
 
@@ -225,80 +204,5 @@ class TableState:
         Residuals are in [0, free] at a fixpoint."""
         return array(self.geo.rs_code, self.rs).tobytes()
 
-    def line_id(self, axis: int, index: tuple[int, ...]) -> int:
-        geo = self.geo
-        flat = 0
-        for b, v in zip((b for b in range(geo.d) if b != axis), index):
-            flat = flat * geo.sizes[b] + v
-        return geo.offset[axis] + flat
-
     def cells_array(self) -> np.ndarray:
         return np.asarray(self.cells, dtype=np.int8).reshape(self.geo.sizes)
-
-    def rs_array(self, axis: int) -> np.ndarray:
-        geo = self.geo
-        lo = geo.offset[axis]
-        hi = lo + geo.ncells // geo.sizes[axis]
-        shape = tuple(s for b, s in enumerate(geo.sizes) if b != axis)
-        return np.asarray(self.rs[lo:hi], dtype=np.int64).reshape(shape)
-
-    def free_array(self, axis: int) -> np.ndarray:
-        geo = self.geo
-        lo = geo.offset[axis]
-        hi = lo + geo.ncells // geo.sizes[axis]
-        shape = tuple(s for b, s in enumerate(geo.sizes) if b != axis)
-        return np.asarray(self.free[lo:hi], dtype=np.int64).reshape(shape)
-
-
-@dataclass(frozen=True)
-class ReducedProblem:
-    """Output of detect_structures: the pinned cells, the margins of the
-    remaining free-cell subproblem, and per-line free-cell counts."""
-
-    dims: Dims
-    masks: StructureMasks
-    reduced: MarginalSet
-    free_cells: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        for a, (mg, fc) in enumerate(zip(self.reduced.margins, self.free_cells)):
-            if np.any(mg < 0) or np.any(mg > fc):
-                raise ValueError(f"reduced margin over axis {a} out of range")
-
-
-def detect_structures(m: MarginalSet) -> ReducedProblem:
-    """Find every cell whose value is already pinned by the margins.
-
-    Raises StructurallyInfeasibleError when propagation proves that no
-    zero-one table has these margins.
-    """
-    validate_marginals(m)
-    state = TableState.from_marginals(m)
-    bad = state.initial_reduce()
-    if bad >= 0:
-        raise StructurallyInfeasibleError(
-            state.geo.line_axis[bad], state.geo.line_index[bad]
-        )
-    cells = state.cells_array()
-    determined = (cells >= 0).astype(np.int8)
-    ones = (cells == 1).astype(np.int8)
-    reduced = MarginalSet(
-        m.dims, tuple(state.rs_array(a) for a in range(m.dims.d))
-    )
-    free_cells = tuple(state.free_array(a) for a in range(m.dims.d))
-    return ReducedProblem(m.dims, StructureMasks(determined, ones), reduced, free_cells)
-
-
-def structural_zero_count(masks: StructureMasks, axis: int, index) -> int:
-    """Number of structural zeros (pinned, not forced ones) in one line.
-
-    index gives the coordinates of the line over the remaining axes, in
-    order.  Forced ones are excluded: they reduce the margin instead.
-    """
-    index = tuple(int(i) for i in index)
-    sl = list(index)
-    sl.insert(axis, slice(None))
-    sl = tuple(sl)
-    det = masks.determined[sl]
-    ones = masks.ones[sl]
-    return int(((det == 1) & (ones == 0)).sum())

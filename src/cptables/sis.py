@@ -7,11 +7,11 @@ propagates into a dead end is a rejection: it carries weight zero in the
 estimator rather than being resampled, which keeps the importance weights
 unbiased for the number of tables.
 
-The three-way engine follows the nested ordering heuristic: layers along
-the first axis largest remaining sum first, and within a layer, lines along
-the last axis largest residual sum first, propagating structure updates
-after every draw.  The d-way engine flattens this: all columns along the
-last axis, largest residual sum first.
+Every table is walked with the steps in layers.py: layers largest
+remaining sum first, and within a layer, lines along the last axis largest
+residual sum first, propagating structure updates after every draw.  A
+three-way table's layers are its slices along the first axis; any other
+table is one layer of every line along its last axis.
 
 Two proposal presets differ in how hard mid-run propagation forces:
 
@@ -33,7 +33,9 @@ Two proposal presets differ in how hard mid-run propagation forces:
 
 They are different proposal distributions, so per-sample weights (and the
 acceptance rate and cv^2) differ; both are supported on all tables with
-the requested margins, so both give unbiased counts.  Initial reduction
+the requested margins, so both give unbiased counts.  Tables with d != 3
+have a single layer, so they have no layer pass to defer saturation to:
+both presets run the guided rules there and coincide.  Initial reduction
 always applies the saturation rule on every axis: full lines in the
 *input* margins are structural ones, not sampling events.
 
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpdist import cp_draft_sample
-from .layers import SampleRejected, draw_line, sample_layer
+from .layers import SampleRejected, next_layer, sample_layer
 from .reduction import TableState
 from .tables import (
     BinaryTable,
@@ -71,7 +73,7 @@ PROPOSALS = ("classic", "guided")
 
 @dataclass(frozen=True)
 class _Policy:
-    """How hard re-detection forces between draws of the three-way engine.
+    """How hard re-detection forces between draws.
 
     nosat_mid lists the axes whose saturated lines stay open between draws
     inside a layer (their cells become certain inclusions when a draw
@@ -88,10 +90,11 @@ _POLICIES = {
 }
 
 
-def _policy(proposal: str) -> _Policy:
+def _policy(proposal: str, d: int) -> _Policy:
+    """The preset's policy for a d-way table; d != 3 takes the guided one."""
     if proposal not in PROPOSALS:
         raise ValueError(f"proposal must be one of {PROPOSALS}")
-    return _POLICIES[proposal]
+    return _POLICIES[proposal if d == 3 else "guided"]
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ class SisConfig:
             raise ValueError("workers must be >= 1")
         if self.layer_axis < 0:
             raise ValueError("layer_axis must be >= 0")
-        _policy(self.proposal)
+        _policy(self.proposal, 3)  # rejects an unknown preset
 
 
 def _rng_chooser(rng: np.random.Generator):
@@ -192,45 +195,7 @@ def sample_table3(
         if m.dims.d != 3:
             raise ValueError("sample_table3 needs a three-way marginal set")
         _start = _prepare(m, layer_axis)
-    policy = _policy(proposal)
-    choose = _choose if _choose is not None else _rng_chooser(rng)
-    out = _sample3_core(_start, choose, policy)
-    if _start.inv is None or not out.accepted:
-        return out
-    table = BinaryTable(m.dims, np.transpose(out.table.cells, _start.inv))
-    return SampleOutcome("accepted", table=table, log_q=out.log_q)
-
-
-def _sample3_core(start: _Start, choose, policy: _Policy) -> SampleOutcome:
-    try:
-        state = start.fresh()
-        nlayers, n, _ = state.geo.sizes
-        base = state.geo.offset[2]
-        log_q = 0.0
-        while True:
-            # layers ranked by remaining ones, ties to the smallest index;
-            # fully determined layers drop out
-            best_i = -1
-            best_ones = -1
-            for i in range(nlayers):
-                lo = base + i * n
-                ones_left = 0
-                free_cnt = 0
-                for lid in range(lo, lo + n):
-                    ones_left += state.rs[lid]
-                    free_cnt += state.free[lid]
-                if free_cnt > 0 and ones_left > best_ones:
-                    best_ones = ones_left
-                    best_i = i
-            if best_i < 0:
-                break
-            log_q += sample_layer(state, best_i, choose, policy.nosat_mid)
-            if policy.layer_pass and policy.nosat_mid:
-                if state.close_saturated() >= 0:
-                    raise SampleRejected(f"layer={best_i} closing-pass")
-        return _finish(start.m, state, log_q)
-    except SampleRejected as r:
-        return SampleOutcome("rejected", reject_stage=r.stage)
+    return _sample(m, _start, rng, proposal, _choose)
 
 
 def sample_table_d(
@@ -241,38 +206,42 @@ def sample_table_d(
     _choose=None,
     _start: _Start | None = None,
 ) -> SampleOutcome:
-    """Draw one proposal for a d-way table: columns along the last axis,
-    largest residual sum first.  Three-way input delegates to the layered
-    engine; d = 2 works as well (the column law reduces to r / (n - g))."""
+    """Draw one proposal for a d-way table.  Three-way input goes to
+    sample_table3; any other d is one layer of every line along the last
+    axis (for d = 2 the column law reduces to r / (n - r))."""
     if m.dims.d == 3:
         return sample_table3(m, rng, proposal=proposal, _choose=_choose,
                              _start=_start)
     if _start is None:
         validate_marginals(m)
         _start = _prepare(m)
-    _policy(proposal)  # validate; no layer nesting, so both presets coincide
-    choose = _choose if _choose is not None else _rng_chooser(rng)
+    return _sample(m, _start, rng, proposal, _choose)
+
+
+def _sample(m: MarginalSet, start: _Start, rng, proposal: str, choose):
+    """One proposal from a prepared start, in m's axis order: the layers
+    in next_layer order, each followed by the layer-end pass when the
+    policy has one."""
+    policy = _policy(proposal, m.dims.d)
+    if choose is None:
+        choose = _rng_chooser(rng)
     try:
-        state = _start.fresh()
-        geo = state.geo
-        lo = geo.offset[geo.d - 1]
-        hi = geo.nlines
+        state = start.fresh()
         log_q = 0.0
         while True:
-            best_lid = -1
-            best_rs = -1
-            for lid in range(lo, hi):
-                if state.free[lid] > 0 and state.rs[lid] > best_rs:
-                    best_rs = state.rs[lid]
-                    best_lid = lid
-            if best_lid < 0:
+            layer = next_layer(state)
+            if layer < 0:
                 break
-            log_q += draw_line(
-                state, best_lid, choose, f"column={best_lid - lo}"
-            )
-        return _finish(m, state, log_q)
+            log_q += sample_layer(state, layer, choose, policy.nosat_mid)
+            if policy.layer_pass and state.close_saturated() >= 0:
+                raise SampleRejected(f"layer={layer} closing-pass")
+        out = _finish(start.m, state, log_q)
     except SampleRejected as r:
         return SampleOutcome("rejected", reject_stage=r.stage)
+    if start.inv is None:
+        return out
+    table = BinaryTable(m.dims, np.transpose(out.table.cells, start.inv))
+    return SampleOutcome("accepted", table=table, log_q=out.log_q)
 
 
 def _per_sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -285,13 +254,9 @@ def _weight_chunk(
 ):
     out = np.empty(hi - lo)
     start = _prepare(m, layer_axis)
-    three_way = m.dims.d == 3
     for i in range(lo, hi):
-        rng = _per_sample_rng(seed, i)
-        if three_way:
-            o = sample_table3(m, rng, proposal=proposal, _start=start)
-        else:
-            o = sample_table_d(m, rng, proposal=proposal, _start=start)
+        o = sample_table_d(m, _per_sample_rng(seed, i), proposal=proposal,
+                           _start=start)
         out[i - lo] = -o.log_q if o.accepted else -np.inf
     return out
 
@@ -336,15 +301,11 @@ def draw_accepted_tables(
         max_attempts = 1000 * count
     validate_marginals(m)
     start = _prepare(m, layer_axis)
-    three_way = m.dims.d == 3
     accepted: list[SampleOutcome] = []
     attempt = 0
     while len(accepted) < count and attempt < max_attempts:
-        rng = _per_sample_rng(seed, attempt)
-        if three_way:
-            o = sample_table3(m, rng, proposal=proposal, _start=start)
-        else:
-            o = sample_table_d(m, rng, proposal=proposal, _start=start)
+        o = sample_table_d(m, _per_sample_rng(seed, attempt),
+                           proposal=proposal, _start=start)
         if o.accepted:
             accepted.append(o)
         attempt += 1

@@ -138,29 +138,6 @@ class BinaryTable:
 
 
 @dataclass(frozen=True)
-class StructureMasks:
-    """Cells pinned by the margins alone.
-
-    determined marks every cell whose value is forced (structural zeros and
-    forced ones); ones marks the forced ones, so ones <= determined holds
-    cellwise.
-    """
-
-    determined: np.ndarray
-    ones: np.ndarray
-
-    def __post_init__(self):
-        det = _frozen(self.determined, np.int8)
-        ones = _frozen(self.ones, np.int8)
-        object.__setattr__(self, "determined", det)
-        object.__setattr__(self, "ones", ones)
-        if det.shape != ones.shape:
-            raise ValueError("mask shapes differ")
-        if np.any(ones > det):
-            raise ValueError("a forced one must also be marked determined")
-
-
-@dataclass(frozen=True)
 class SampleOutcome:
     """Result of one proposal draw: an accepted table with its log proposal
     probability, or a rejection tagged with the stage that failed."""
@@ -244,12 +221,6 @@ def marginals_of(t: BinaryTable) -> MarginalSet:
     """The d margin arrays of a concrete table."""
     margins = tuple(t.cells.sum(axis=a) for a in range(t.dims.d))
     return MarginalSet(t.dims, margins)
-
-
-def permute_table_axes(t: BinaryTable, perm) -> BinaryTable:
-    """Relabel table axes: new axis j is old axis perm[j]."""
-    perm = tuple(int(p) for p in perm)
-    return BinaryTable.from_array(np.transpose(t.cells, perm))
 
 
 def permute_marginal_axes(m: MarginalSet, perm) -> MarginalSet:

@@ -6,11 +6,14 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from cptables import (
+    BinaryTable,
     exact_count,
     fixture,
     format_marginals,
+    marginals_of,
     parse_marginal_text,
     parse_ucinet_dl_text,
 )
@@ -247,3 +250,45 @@ def test_ingest_ucinet_bad_header_value_exits_two_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "N=3NM" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "ex5_6", "--samples", "0"],
+    ["estimate", "ex5_6", "--workers", "0"],
+    ["estimate", "ex5_6", "--seed", "-1"],
+    ["estimate", "ex5_6", "--layer-axis", "5"],
+    ["estimate", "ex5_6", "--layer-axis", "-1"],
+    ["estimate", "ex5_6", "--bootstrap", "-1"],
+    ["estimate", "ex5_6", "--alpha", "2"],
+    ["sample", "ex5_6", "--layer-axis", "3"],
+    ["sample", "ex5_6", "--count", "0"],
+    ["exact", "ex5_6", "--enumerate", "0"],
+], ids=" ".join)
+def test_out_of_range_options_exit_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_layer_axis_is_ignored_below_and_above_three_ways(capsys, tmp_path):
+    cells = (np.random.default_rng(0).random((3, 4)) < 0.5).astype(int)
+    path = tmp_path / "two.margins"
+    path.write_text(format_marginals(marginals_of(BinaryTable.from_array(cells))))
+    assert main(["estimate", str(path), "--samples", "20", "--layer-axis", "5"]) == 0
+    assert main(["sample", str(path), "--layer-axis", "3"]) == 0
+    capsys.readouterr()
+
+
+def test_out_of_range_option_exits_two_without_traceback():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "cptables", "estimate", "ex5_6", "--samples", "0"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: --samples must be >= 1, got 0\n"

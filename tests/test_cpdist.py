@@ -14,9 +14,6 @@ from cptables import (
     cp_log_pmf,
     log_esym,
     log_esym_table,
-    odds,
-    success_prob_3way,
-    success_prob_multiway,
 )
 
 
@@ -28,37 +25,6 @@ def random_weights(rng, size, zero_frac=0.25):
     w = rng.gamma(1.0, 2.0, size=size)
     w[rng.random(size) < zero_frac] = 0.0
     return w
-
-
-def test_success_prob_3way_value():
-    # residuals 2 and 1 in crossing lines of lengths 4 and 3, no zeros:
-    # p = 2*1 / (2*1 + (4-2)*(3-1)) = 2/6
-    assert math.isclose(success_prob_3way(2, 1, 4, 3), 2.0 / 6.0)
-    # one structural zero in the first crossing line shrinks its free room
-    assert math.isclose(success_prob_3way(2, 1, 4, 3, g_r=1), 2.0 / (2.0 + 1 * 2))
-    with pytest.raises(ValueError):
-        success_prob_3way(0, 1, 4, 3)
-    with pytest.raises(ValueError):
-        success_prob_3way(3, 1, 4, 3, g_r=1)
-
-
-def test_success_prob_multiway_matches_3way_and_2way():
-    assert math.isclose(
-        success_prob_multiway([2, 1], [4, 3]), success_prob_3way(2, 1, 4, 3)
-    )
-    # single factor is the two-way law r / (n - g)
-    assert math.isclose(success_prob_multiway([2], [5], [1]), 2.0 / 4.0)
-    with pytest.raises(ValueError):
-        success_prob_multiway([], [])
-    with pytest.raises(ValueError):
-        success_prob_multiway([2, 0], [4, 3])
-
-
-def test_odds():
-    assert math.isclose(odds(0.25), 1.0 / 3.0)
-    for bad in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            odds(bad)
 
 
 def test_esym_against_brute_force_up_to_15_items():

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from cptables import (
+    BinaryTable,
     InvariantError,
     exact_count,
     exact_enumerate,
     expand_paths,
     fixture,
     marginals3,
+    marginals_of,
     sample_table3,
+    sample_table_d,
     semimagic_margins,
 )
 from cptables.oracle import EnumerationBudgetError
@@ -68,19 +71,31 @@ def test_classic_acceptance_exact_values():
     assert abs(acc13 - 0.8462) < 5e-4
 
 
+def _two_way():
+    cells = (np.random.default_rng(0).random((5, 6)) < 0.5).astype(int)
+    return marginals_of(BinaryTable.from_array(cells))
+
+
+def _four_way():
+    # 3 x 3 x 3 x 3 with every line sum 1: 24 tables
+    idx = np.indices((3, 3, 3, 3))
+    cells = (idx[3] == idx[:3].sum(axis=0) % 3).astype(int)
+    return marginals_of(BinaryTable.from_array(cells))
+
+
 def test_sampler_log_q_agrees_with_expansion():
-    for name in ("ex5_2", "ex5_9"):
-        m = fixture(name)
-        px = expand_paths(m)
-        seen = 0
-        for i in range(200):
-            out = sample_table3(m, _per_sample_rng(7, i))
-            if not out.accepted:
-                continue
-            q = px.tables[out.table.cells.tobytes()]
-            assert abs(out.log_q - math.log(q)) < 1e-9
-            seen += 1
-        assert seen > 100
+    for m in (fixture("ex5_2"), fixture("ex5_9"), _two_way(), _four_way()):
+        for proposal in PROPOSALS:
+            px = expand_paths(m, proposal=proposal)
+            seen = 0
+            for i in range(200):
+                out = sample_table_d(m, _per_sample_rng(7, i), proposal=proposal)
+                if not out.accepted:
+                    continue
+                q = px.tables[out.table.cells.tobytes()]
+                assert abs(out.log_q - math.log(q)) < 1e-9
+                seen += 1
+            assert seen > 100
 
 
 def test_monte_carlo_acceptance_matches_exact_mass():

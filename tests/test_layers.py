@@ -5,27 +5,104 @@ import numpy as np
 import pytest
 
 from cptables import (
+    BinaryTable,
     CPInfeasibleError,
     TableState,
     cp_log_pmf,
-    descending_order,
     line_weights,
+    marginals_of,
     sample_layer,
     semimagic_margins,
 )
-from cptables.layers import SampleRejected, draw_line
+from cptables.layers import (
+    SampleRejected,
+    draw_line,
+    layer_shape,
+    next_layer,
+    next_line,
+)
 
 
-def test_descending_order_breaks_ties_by_index():
-    assert descending_order([3, 5, 5, 1]) == [1, 2, 0, 3]
-    assert descending_order([]) == []
+def _line(state, axis, index):
+    """Flat id of the line along `axis` through `index`, the coordinates
+    on the other axes in order."""
+    geo = state.geo
+    shape = geo.sizes[:axis] + geo.sizes[axis + 1:]
+    return geo.offset[axis] + int(np.ravel_multi_index(index, shape))
+
+
+def _state_of(cells):
+    return TableState.from_marginals(marginals_of(BinaryTable.from_array(cells)))
+
+
+def test_layer_shape_per_dimension():
+    # three-way: slices along axis 0, each with its sizes[1] lines along
+    # axis 2; any other d: one layer of every line along the last axis
+    assert layer_shape(TableState.from_marginals(semimagic_margins(3, 1)).geo) == (3, 3)
+    assert layer_shape(_state_of(np.zeros((4, 5, 2), dtype=int)).geo) == (4, 5)
+    assert layer_shape(_state_of(np.zeros((3, 4), dtype=int)).geo) == (1, 3)
+    assert layer_shape(_state_of(np.zeros((2, 3, 2, 4), dtype=int)).geo) == (1, 12)
+
+
+def test_next_line_breaks_ties_by_index():
+    # layer 0's depth lines hold residuals 1, 2, 2: the first of the two
+    # largest goes first; filled lines drop out, a filled layer gives -1
+    cells = np.array([[[1, 0, 0], [1, 1, 0], [0, 1, 1]],
+                      [[1, 1, 1], [0, 0, 1], [1, 1, 0]]])
+    state = _state_of(cells)
+    assert next_line(state, 0) == _line(state, 2, (0, 1))
+    pending = deque()
+    for k in range(3):
+        state.set_cell(int(np.ravel_multi_index((0, 1, k), cells.shape)),
+                       int(cells[0, 1, k]), pending)
+    assert next_line(state, 0) == _line(state, 2, (0, 2))
+    for j in (0, 2):
+        for k in range(3):
+            state.set_cell(int(np.ravel_multi_index((0, j, k), cells.shape)),
+                           int(cells[0, j, k]), pending)
+    assert next_line(state, 0) == -1
+
+
+def test_next_layer_ranks_by_ones_left_and_skips_filled_layers():
+    # layer 1 holds 6 ones against layer 0's 5
+    cells = np.array([[[1, 0, 0], [1, 1, 0], [0, 1, 1]],
+                      [[1, 1, 1], [0, 0, 1], [1, 1, 0]]])
+    state = _state_of(cells)
+    assert next_layer(state) == 1
+    pending = deque()
+    for cid in range(9, 18):
+        state.set_cell(cid, int(cells.flat[cid]), pending)
+    assert next_layer(state) == 0
+    # ties go to the smallest index
+    assert next_layer(TableState.from_marginals(semimagic_margins(3, 1))) == 0
+    # a single layer for any other d, until every cell is set
+    two_way = _state_of(np.array([[1, 0], [0, 1]]))
+    assert next_layer(two_way) == 0
+    for cid in range(4):
+        two_way.set_cell(cid, int(cid in (0, 3)), pending)
+    assert next_layer(two_way) == -1
+
+
+def test_line_weights_on_two_and_four_way_tables():
+    # two-way: one crossing line per cell, odds r / (n - r) of its column
+    cells = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 0]])
+    state = _state_of(cells)
+    free_cids, weights, certain = line_weights(state, _line(state, 1, (0,)))
+    assert free_cids == [0, 1, 2, 3] and certain == []
+    assert weights == [2.0, 0.5, 2.0, 0.5]
+    # four-way, every line sum 1 over 3 cells: three crossing factors 1/2
+    idx = np.indices((3, 3, 3, 3))
+    state = _state_of((idx[3] == idx[:3].sum(axis=0) % 3).astype(int))
+    free_cids, weights, certain = line_weights(state, _line(state, 3, (0, 0, 0)))
+    assert free_cids == [0, 1, 2] and certain == []
+    assert weights == [0.125] * 3
 
 
 def test_line_weights_odds_formula():
     # 3x3x3 cube, every margin 2: first depth line has crossing residuals
     # r = 2 over 3 free cells both ways, so w = (2*2) / ((3-2)*(3-2)) = 4
     state = TableState.from_marginals(semimagic_margins(3, 2))
-    lid = state.line_id(2, (0, 0))
+    lid = _line(state, 2, (0, 0))
     free_cids, weights, certain = line_weights(state, lid)
     assert free_cids == [0, 1, 2]
     assert weights == [4.0, 4.0, 4.0]
@@ -38,7 +115,7 @@ def test_line_weights_zero_residual_crossing_gives_zero_weight():
     # that has not been re-propagated
     state = TableState.from_marginals(semimagic_margins(3, 1))
     state.set_cell(0, 1, deque())  # (0,0,0) = 1, propagation withheld
-    lid = state.line_id(1, (0, 1))  # cells (0,0,1), (0,1,1), (0,2,1)
+    lid = _line(state, 1, (0, 1))  # cells (0,0,1), (0,1,1), (0,2,1)
     free_cids, weights, certain = line_weights(state, lid)
     assert certain == []
     assert free_cids == [1, 4, 7]
@@ -54,7 +131,7 @@ def test_line_weights_saturated_crossing_is_certain():
     pending = deque()
     state.set_cell(2, 0, pending)  # (0,0,2) = 0
     assert state.propagate(pending, nosat_axes=(0, 1, 2)) < 0
-    lid = state.line_id(0, (0, 0))  # cells (i, 0, 0)
+    lid = _line(state, 0, (0, 0))  # cells (i, 0, 0)
     free_cids, weights, certain = line_weights(state, lid)
     assert certain == [0]
     assert free_cids == [9, 18]
@@ -78,7 +155,7 @@ class ScriptedChoose:
 
 def test_draw_line_sets_cells_and_returns_log_prob():
     state = TableState.from_marginals(semimagic_margins(3, 2))
-    lid = state.line_id(2, (0, 0))
+    lid = _line(state, 2, (0, 0))
     choose = ScriptedChoose([(0, 2)])
     log_prob = draw_line(state, lid, choose, "layer=0")
     assert state.cells[0] == 1 and state.cells[1] == 0 and state.cells[2] == 1
@@ -92,7 +169,7 @@ def test_draw_line_includes_certain_cells_at_no_cost():
     pending = deque()
     state.set_cell(2, 0, pending)  # (0,0,2) = 0; line (0,0,.) saturated
     assert state.propagate(pending, nosat_axes=(0, 1, 2)) < 0
-    lid = state.line_id(0, (0, 0))
+    lid = _line(state, 0, (0, 0))
     choose = ScriptedChoose([(0,)])
     log_prob = draw_line(state, lid, choose, "layer=0", nosat_axes=(0, 1, 2))
     # the certain cell went in with probability one; only the remaining
@@ -110,7 +187,7 @@ def test_draw_line_overcommit_rejects():
     state = TableState.from_marginals(semimagic_margins(2, 1))
     for cid in (2, 3, 4):
         state.set_cell(cid, 0, deque())
-    lid = state.line_id(2, (1, 1))
+    lid = _line(state, 2, (1, 1))
     free_cids, weights, certain = line_weights(state, lid)
     assert certain == [6, 7]
     with pytest.raises(SampleRejected) as e:
@@ -124,7 +201,7 @@ def test_draw_line_cp_infeasible_rejects():
     def broken_choose(weights, size):
         raise CPInfeasibleError("forced for the test")
 
-    lid = state.line_id(2, (0, 0))
+    lid = _line(state, 2, (0, 0))
     with pytest.raises(SampleRejected) as e:
         draw_line(state, lid, broken_choose, "layer=0 column=0")
     assert "cp-infeasible" in str(e.value)
@@ -135,7 +212,7 @@ def test_draw_line_propagation_failure_rejects():
     # draw's own propagation pass surface the contradiction
     state = TableState.from_marginals(semimagic_margins(2, 1))
     state.set_cell(2, 1, deque())  # (0,1,0) = 1, lines left stale
-    lid = state.line_id(2, (0, 0))
+    lid = _line(state, 2, (0, 0))
     with pytest.raises(SampleRejected) as e:
         draw_line(state, lid, ScriptedChoose([(0,)]), "layer=0 column=0")
     assert "layer=0 column=0" in str(e.value)

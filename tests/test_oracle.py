@@ -145,11 +145,10 @@ def test_count_matches_enumeration_and_expansion(cells):
     m = marginals_of(BinaryTable.from_array(cells))
     count = exact_count(m)
     assert count == len(exact_enumerate(m)) >= 1
-    if m.dims.d != 3:
-        return
-    # the proposal reaches every table: mass 1 and as many tables as exist
+    # the proposal reaches every table: mass 1 and as many tables as exist;
+    # the layer axis only matters for three-way tables
     for proposal in PROPOSALS:
-        for axis in range(3):
+        for axis in range(3 if m.dims.d == 3 else 1):
             px = expand_paths(m, proposal=proposal, layer_axis=axis)
             assert abs(px.total_mass - 1.0) <= 1e-12
             assert len(px.tables) == count

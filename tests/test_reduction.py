@@ -2,32 +2,33 @@ from array import array
 from collections import deque
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from cptables import (
     BinaryTable,
     Dims,
-    StructurallyInfeasibleError,
     TableState,
-    detect_structures,
     fixture,
     marginals3,
     marginals_of,
     semimagic_margins,
-    structural_zero_count,
 )
 from cptables.layers import SampleRejected, sample_layer
 from cptables.sis import _rng_chooser
 
 
+def _reduced(m):
+    state = TableState.from_marginals(m)
+    assert state.initial_reduce() < 0
+    return state
+
+
 def test_latin_square_margins_pin_nothing():
-    rp = detect_structures(semimagic_margins(3, 1))
-    assert rp.masks.determined.sum() == 0
-    assert rp.masks.ones.sum() == 0
-    for a in range(3):
-        assert np.array_equal(rp.reduced.margins[a], semimagic_margins(3, 1).margins[a])
-        assert np.all(rp.free_cells[a] == 3)
+    m = semimagic_margins(3, 1)
+    state = _reduced(m)
+    assert state.cells == [-1] * 27 and state.trail == []
+    assert state.rs == [1] * state.geo.nlines
+    assert state.free == [3] * state.geo.nlines
 
 
 def test_zero_and_full_lines_cascade_to_full_determination():
@@ -36,45 +37,19 @@ def test_zero_and_full_lines_cascade_to_full_determination():
     # the rules cascade (each fill reduces a crossing line to one free
     # cell) until every cell is pinned
     cells = np.array([[[0, 0], [1, 1]], [[0, 1], [0, 1]]])
-    rp = detect_structures(marginals_of(BinaryTable.from_array(cells)))
-    assert rp.masks.determined.sum() == 8
-    assert np.array_equal(rp.masks.ones, cells)
-    for a in range(3):
-        assert np.all(rp.reduced.margins[a] == 0)
-        assert np.all(rp.free_cells[a] == 0)
+    state = _reduced(marginals_of(BinaryTable.from_array(cells)))
+    assert np.array_equal(state.cells_array(), cells)
+    assert not any(state.rs) and not any(state.free)
 
 
-def test_detect_structures_cascades_from_one_corner():
+def test_initial_reduce_cascades_from_one_corner():
     cells = np.array([[[1, 1], [1, 0]], [[1, 0], [0, 0]]])
     m = marginals_of(BinaryTable.from_array(cells))
-    rp = detect_structures(m)
-    assert rp.masks.determined.sum() == 8
-    got = marginals_of(BinaryTable.from_array(rp.masks.ones))
+    state = _reduced(m)
+    assert state.cells.count(-1) == 0
+    got = marginals_of(BinaryTable.from_array(state.cells_array()))
     for a in range(3):
         assert np.array_equal(got.margins[a], m.margins[a])
-
-
-def test_structurally_infeasible_margins_raise():
-    # line (.,0,0) must sum to 0 but layer line (0,0,.) is saturated,
-    # an impossibility that only shows up when the rules interact
-    si = [[0, 2], [2, 0]]
-    sj = [[1, 1], [1, 1]]
-    sk = [[2, 0], [0, 2]]
-    with pytest.raises(StructurallyInfeasibleError) as e:
-        detect_structures(marginals3(si, sj, sk))
-    assert e.value.axis in (0, 1, 2)
-    assert len(e.value.index) == 2
-
-
-def test_structural_zero_count():
-    cells = np.array([[[0, 0], [1, 1]], [[0, 1], [0, 1]]])
-    rp = detect_structures(marginals_of(BinaryTable.from_array(cells)))
-    # depth line through (0, 0): both cells are structural zeros
-    assert structural_zero_count(rp.masks, 2, (0, 0)) == 2
-    # depth line through (0, 1): both cells are forced ones, not zeros
-    assert structural_zero_count(rp.masks, 2, (0, 1)) == 0
-    # depth line through (1, 1): one zero, one forced one
-    assert structural_zero_count(rp.masks, 2, (1, 1)) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,9 +60,9 @@ def test_pinned_cells_agree_with_any_generating_table(seed, a, b, c, dens):
     # they must agree with the table the margins came from
     rng = np.random.default_rng(seed)
     cells = (rng.random((a, b, c)) < dens).astype(int)
-    rp = detect_structures(marginals_of(BinaryTable.from_array(cells)))
-    det = rp.masks.determined == 1
-    assert np.array_equal(rp.masks.ones[det], cells[det])
+    pinned = _reduced(marginals_of(BinaryTable.from_array(cells))).cells_array()
+    det = pinned >= 0
+    assert np.array_equal(pinned[det], cells[det])
 
 
 def test_state_set_cell_and_undo_round_trip():
@@ -159,24 +134,32 @@ def test_initial_reduce_detects_root_infeasibility():
 
 
 def test_rs_and_free_arrays_track_margins():
+    # rs holds each axis's margin in C order, from that axis's offset on
     m = fixture("ex5_3")
     state = TableState.from_marginals(m)
+    geo = state.geo
     for a in range(3):
-        assert np.array_equal(state.rs_array(a), m.margins[a])
-        assert np.all(state.free_array(a) == m.dims.sizes[a])
+        lo = geo.offset[a]
+        hi = lo + m.margins[a].size
+        assert state.rs[lo:hi] == m.margins[a].ravel().tolist()
+        assert state.free[lo:hi] == [m.dims.sizes[a]] * (hi - lo)
     state.initial_reduce()
-    for a in range(3):
-        assert np.all(state.rs_array(a) >= 0)
-        assert np.all(state.rs_array(a) <= state.free_array(a))
+    assert all(0 <= r <= f for r, f in zip(state.rs, state.free))
 
 
 def test_line_id_is_consistent_with_geometry():
-    state = TableState.from_marginals(fixture("ex5_2"))
-    geo = state.geo
+    # a line's id is its axis's offset plus the C-order index of its cells'
+    # coordinates on the other axes, and every cell lists it for that axis
+    geo = TableState.from_marginals(fixture("ex5_2")).geo
     for lid in range(geo.nlines):
         axis = geo.line_axis[lid]
-        index = geo.line_index[lid]
-        assert state.line_id(axis, index) == lid
+        rest = geo.sizes[:axis] + geo.sizes[axis + 1:]
+        assert len(geo.line_cells[lid]) == geo.sizes[axis]
+        for cid in geo.line_cells[lid]:
+            idx = np.unravel_index(cid, geo.sizes)
+            other = tuple(int(i) for b, i in enumerate(idx) if b != axis)
+            assert geo.offset[axis] + np.ravel_multi_index(other, rest) == lid
+            assert geo.cell_lines[cid][axis] == lid
 
 
 def test_residual_bytes_pack_narrow_and_wide():
