@@ -188,11 +188,11 @@ def _cmd_exact(args) -> int:
             else:
                 print(np.array2string(cells))
         print(f"enumerated: {len(tables)}")
-        return 0
+        return 0 if tables else INFEASIBLE
     budget = EXACT_BUDGET if args.budget is None else args.budget
     count = exact_count(m, budget=budget)
     print(f"exact count: {count}")
-    return 0
+    return 0 if count else INFEASIBLE
 
 
 def _cmd_ingest_ucinet(args) -> int:

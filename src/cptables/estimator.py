@@ -14,7 +14,9 @@ percentiles of the replicated estimates and cv^2 values.  Replications are
 resampled in blocks, and within a block their cv^2 values are computed per
 group of replications with the same number of accepted entries, with the
 same operations in the same order as cv_squared, so each value is bitwise
-the one a replication-by-replication loop gives.
+the one a replication-by-replication loop gives.  Replications that drew
+no rejection (all of them on a stream without rejections) take their rows
+of the block as they are; only the others gather their accepted entries.
 
 The log-sum-exp is in-house, numpy only, and follows the algorithm of
 scipy.special.logsumexp step for step, so it returns the same bits: the
@@ -120,10 +122,11 @@ def _bootstrap_replicates(
     Per block, z = exp(picks - rowmax) is computed once.  For cv^2 the
     replications are grouped by their number c of accepted entries; each
     group's entries of z form one (rows, c) array, on which the ufuncs of
-    z.mean() and z.var(ddof=1) run row by row in the same order.  The
-    estimate is then the log-sum-exp finished from z with the maxima
-    zeroed.  Every value is bitwise what cv_squared and
-    scipy.special.logsumexp give on that replication."""
+    z.mean() and z.var(ddof=1) run row by row in the same order (for
+    c = n, the group's rows of z as they are).  The estimate is then the
+    log-sum-exp finished from z with the maxima zeroed.  Every value is
+    bitwise what cv_squared and scipy.special.logsumexp give on that
+    replication."""
     n = lw.size
     est = np.empty(replications)
     cv2 = np.empty(replications)
@@ -135,15 +138,19 @@ def _bootstrap_replicates(
         picks = lw[rng.integers(0, n, size=(hi - lo, n))]
         top, z = _exp_from_top(picks)
         finite = np.isfinite(picks)
-        vals = z[finite]  # each row's accepted entries, row after row
         counts = finite.sum(axis=1)
-        starts = np.cumsum(counts) - counts
+        if counts.min() < n:
+            vals = z[finite]  # each row's accepted entries, row after row
+            starts = np.cumsum(counts) - counts
         for c in np.unique(counts).tolist():
             at = np.flatnonzero(counts == c)
             if c <= 1:
                 cv2[lo + at] = 0.0
                 continue
-            f = vals[starts[at, None] + np.arange(c)]
+            if c < n:
+                f = vals[starts[at, None] + np.arange(c)]
+            else:  # rows without a rejection are already contiguous in z
+                f = z if at.size == z.shape[0] else z[at]
             mu = np.add.reduce(f, 1) / c
             x = f - mu[:, None]
             x *= x

@@ -168,10 +168,10 @@ class TableState:
         line can fire until one of its cells is set, which queues it, and
         the forcing rules are monotone, so the cells and the verdict are
         those of initial_reduce()."""
-        return self.propagate(deque(
-            lid for lid, (r, f) in enumerate(zip(self.rs, self.free))
+        return self.propagate(deque([
+            lid for lid, r, f in zip(range(self.geo.nlines), self.rs, self.free)
             if r == f and f
-        ))
+        ]))
 
     def copy(self) -> "TableState":
         """The same partial assignment in fresh lists, with an empty trail."""

@@ -39,6 +39,12 @@ both presets run the guided rules there and coincide.  Initial reduction
 always applies the saturation rule on every axis: full lines in the
 *input* margins are structural ones, not sampling events.
 
+A completed proposal passes one final check before it counts: the cells
+themselves, read into one int8 array, must all be 0 or 1 and sum over
+each axis to the margins.  It sums the cells rather than trusting the
+residual bookkeeping, and it raises InvariantError, so it also runs under
+python -O.  The accepted outcome's table is that same array.
+
 run_sis derives one RNG stream per sample index from the master seed, so
 results are reproducible and independent of the worker count.  What is the
 same for every proposal is done once: run_sis validates the margins, and
@@ -62,7 +68,6 @@ from .tables import (
     InvariantError,
     MarginalSet,
     SampleOutcome,
-    marginals_of,
     permute_marginal_axes,
     validate_marginals,
 )
@@ -130,10 +135,16 @@ _LOG_Q_OVERSHOOT_TOL = 1e-12
 
 
 def _finish(m: MarginalSet, state: TableState, log_q: float) -> SampleOutcome:
-    table = BinaryTable(m.dims, state.cells_array())
-    got = marginals_of(table)
-    for a in range(m.dims.d):
-        if not np.array_equal(got.margins[a], m.margins[a]):
+    try:
+        # bytes() rejects a cell still free (-1); BinaryTable any other
+        # value outside {0, 1}
+        table = BinaryTable(m.dims, np.frombuffer(
+            bytes(state.cells), np.int8).reshape(m.dims.sizes))
+    except ValueError:
+        raise InvariantError("sampled table has a cell outside {0, 1}") from None
+    cells = table.cells
+    for a, want in enumerate(m.margins):
+        if not (cells.sum(axis=a) == want).all():
             raise InvariantError(
                 f"sampled table violates the margin over axis {a}"
             )

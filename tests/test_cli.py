@@ -128,6 +128,18 @@ def test_exact_count_and_enumerate(capsys):
     assert out.count("table ") == 3 and "enumerated: 3" in out
 
 
+def test_exact_infeasible_margins_print_zero_and_exit_one(capsys, tmp_path):
+    path = tmp_path / "impossible.margins"
+    path.write_text(INFEASIBLE_TEXT)
+    rc = main(["exact", str(path)])
+    assert rc == 1
+    assert "exact count: 0" in capsys.readouterr().out
+    rc = main(["exact", str(path), "--enumerate", "5"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "enumerated: 0" in out and "table " not in out
+
+
 def test_exact_budget_exceeded_exits_one(capsys):
     rc = main(["exact", "ex5_6", "--budget", "10"])
     captured = capsys.readouterr()

@@ -131,12 +131,40 @@ def test_four_way_count():
             assert np.array_equal(got.margins[a], m.margins[a])
 
 
+def _shifted_permutation_sum(rng):
+    """A four-way n^4 table (n = 2 or 3) that is the sum of 1 to n - 1
+    shifted copies of one permutation table, cell x set where x[3] ==
+    p0[x0] + p1[x1] + p2[x2] + shift (mod n), with at most one cell then
+    flipped.  Random four-way tables almost never admit a second table
+    with their margins; these mostly do."""
+    n = int(rng.integers(2, 4))
+    idx = np.indices((n,) * 4)
+    line = sum(rng.permutation(n)[i] for i in idx[:3])
+    cells = np.zeros((n,) * 4, dtype=np.int8)
+    for shift in rng.choice(n, size=int(rng.integers(1, n)), replace=False):
+        cells |= idx[3] == (line + shift) % n
+    for flip in rng.integers(0, n, size=(int(rng.integers(0, 2)), 4)):
+        cells[tuple(flip)] ^= 1
+    return cells
+
+
 @st.composite
 def small_tables(draw):
     d = draw(st.integers(2, 4))
-    sizes = tuple(draw(st.integers(2, 5 if d == 2 else 3)) for _ in range(d))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if d == 4 and draw(st.booleans()):
+        return _shifted_permutation_sum(rng)
+    sizes = tuple(draw(st.integers(2, 5 if d == 2 else 3)) for _ in range(d))
     return (rng.random(sizes) < draw(st.floats(0.2, 0.8))).astype(np.int8)
+
+
+def test_shifted_permutation_sums_mostly_branch():
+    counts = [
+        exact_count(marginals_of(BinaryTable.from_array(
+            _shifted_permutation_sum(np.random.default_rng(seed)))))
+        for seed in range(40)
+    ]
+    assert sum(c >= 2 for c in counts) >= 30
 
 
 @settings(max_examples=300, deadline=None)

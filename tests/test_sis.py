@@ -193,21 +193,26 @@ def test_draw_accepted_tables_reproducible_and_budgeted():
 
 
 def test_margin_check_survives_python_O():
-    # the final margin check must raise, not assert: run it under -O with
-    # marginals_of patched to report the margins of the all-zero table
+    # the final margin check must raise, not assert: run it under -O on a
+    # fully set state whose cells are all 0, then on one with a free cell
     script = textwrap.dedent("""
         import sys
-        import numpy as np
         import cptables.sis as sis
-        from cptables import BinaryTable, InvariantError, fixture
+        from cptables import InvariantError, fixture
+        from cptables.reduction import TableState
 
         assert False, "asserts must be stripped in this run"
-        real = sis.marginals_of
-        sis.marginals_of = lambda t: real(
-            BinaryTable(t.dims, np.zeros(t.dims.sizes, dtype=np.int8)))
+        m = fixture("ex5_2")
+        state = TableState.from_marginals(m)
+        state.cells = [0] * len(state.cells)
         try:
-            sis.sample_table3(fixture("ex5_2"), np.random.default_rng(0),
-                              proposal="guided")
+            sis._finish(m, state, 0.0)
+            sys.exit(1)
+        except InvariantError as e:
+            print(e)
+        state.cells[0] = -1
+        try:
+            sis._finish(m, state, 0.0)
         except InvariantError as e:
             print(e)
             sys.exit(0)
@@ -222,6 +227,7 @@ def test_margin_check_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert "violates the margin" in proc.stdout
+    assert "outside {0, 1}" in proc.stdout
 
 
 def test_log_q_overshoot_is_clamped_only_within_tolerance():
