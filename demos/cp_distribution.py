@@ -44,8 +44,8 @@ def main() -> None:
 
     print("\ncell weights from line residuals:")
     print("  each cell of the drawn line lies on one crossing line per other")
-    print("  axis; a crossing line that still needs r ones in its f free cells")
-    print("  multiplies the cell's CP weight by r / (f - r)")
+    print("  axis; a crossing line that still needs rs ones and zs zeros")
+    print("  multiplies the cell's CP weight by rs / zs")
     cells = np.array([[[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]],
                       [[0, 1, 1, 0], [1, 1, 0, 0], [1, 0, 1, 1]],
                       [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 1, 1]]])
@@ -55,7 +55,7 @@ def main() -> None:
     free_cids, weights, _ = line_weights(state, lid)
     for cid, wt in zip(free_cids, weights):
         factors = " * ".join(
-            f"{state.rs[l]}/({state.free[l]}-{state.rs[l]})"
+            f"{state.rs[l]}/{state.zs[l]}"
             for a, l in enumerate(geo.cell_lines[cid]) if a != 2
         )
         where = tuple(int(i) for i in np.unravel_index(cid, geo.sizes))

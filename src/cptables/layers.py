@@ -9,11 +9,11 @@ the line with the largest residual sum (ties to the smallest id).  Each
 line is one conditional Poisson draw whose weights come from the residual
 cross margins:
 
-    w = prod over the crossing lines b of rs_b / (free_b - rs_b)
+    w = prod over the crossing lines b of rs_b / zs_b
 
-with rs/free the residual sum and free-cell count of the lines through the
+with rs/zs the ones and zeros still to place in the lines through the
 cell that cross the drawn line (two factors in a three-way table, one in a
-two-way table).  A crossing line that is saturated (free_b == rs_b) makes
+two-way table).  A crossing line that is saturated (zs_b == 0) makes
 the cell a certain inclusion: it is set to one with probability one before
 the conditional Poisson draw over the remaining cells, adding nothing to
 log q.  set_line places a draw's cells and re-runs the structure rules on
@@ -58,13 +58,13 @@ def next_layer(state: TableState) -> int:
     nlayers, n = layer_shape(state.geo)
     lo = state.geo.offset[-1]
     rs = state.rs
-    free = state.free
+    zs = state.zs
     best_i = -1
     best_ones = -1
     for i in range(nlayers):
         hi = lo + n
         ones_left = sum(rs[lo:hi])
-        if ones_left > best_ones and any(free[lo:hi]):
+        if ones_left > best_ones and (ones_left or any(zs[lo:hi])):
             best_ones = ones_left
             best_i = i
         lo = hi
@@ -77,12 +77,13 @@ def next_line(state: TableState, layer: int) -> int:
     n = layer_shape(state.geo)[1]
     lo = state.geo.offset[-1] + layer * n
     rs = state.rs
-    free = state.free
+    zs = state.zs
     best_lid = -1
     best_rs = -1
     for lid in range(lo, lo + n):
-        if free[lid] > 0 and rs[lid] > best_rs:
-            best_rs = rs[lid]
+        r = rs[lid]
+        if r > best_rs and (r or zs[lid]):
+            best_rs = r
             best_lid = lid
     return best_lid
 
@@ -93,7 +94,7 @@ def line_weights(
     """Free cells of a line, their CP odds from the residual cross margins,
     and the certain cells.
 
-    A cell whose crossing line is saturated (residual equals free count)
+    A cell whose crossing line is saturated (no zeros left to place)
     must be a one; its inclusion probability is one, which the odds form
     cannot express (division by zero), so such cells are returned in the
     third slot instead: the draw includes them with certainty, at no cost
@@ -106,7 +107,7 @@ def line_weights(
     geo = state.geo
     axis = geo.line_axis[lid]
     rs = state.rs
-    free = state.free
+    zs = state.zs
     cells = state.cells
     free_cids: list[int] = []
     weights: list[float] = []
@@ -119,9 +120,8 @@ def line_weights(
         for b, cross in enumerate(geo.cell_lines[cid]):
             if b == axis:
                 continue
-            r = rs[cross]
-            num *= r
-            den *= free[cross] - r
+            num *= rs[cross]
+            den *= zs[cross]
         if den == 0.0 and num > 0.0:
             certain.append(cid)
         else:
@@ -137,11 +137,26 @@ def set_line(
     positions to one and the other free cells to zero, then propagate.
     Returns False when propagation finds a dead end."""
     picked = set(picked)
+    ones = certain + [cid for pos, cid in enumerate(free_cids) if pos in picked]
+    zeros = [cid for pos, cid in enumerate(free_cids) if pos not in picked]
+    cells = state.cells
+    trail = state.trail
+    zs = state.zs
+    cell_lines = state.geo.cell_lines
     pending: deque = deque()
-    for cid in certain:
-        state.set_cell(cid, 1, pending)
-    for pos, cid in enumerate(free_cids):
-        state.set_cell(cid, 1 if pos in picked else 0, pending)
+    push = pending.append
+    # TableState.propagate's placement loop, written out (not called per
+    # line, which costs the engine its speedup): a line is queued only once
+    # a rule can act on it
+    for v, cids, count in ((1, ones, state.rs), (0, zeros, zs)):
+        for cid in cids:
+            cells[cid] = v
+            trail.append(cid)
+            for l in cell_lines[cid]:
+                c = count[l] - 1
+                count[l] = c
+                if c <= 0 or (v and c == 1 and not zs[l]):
+                    push(l)
     return state.propagate(pending, nosat_axes) < 0
 
 

@@ -1,21 +1,35 @@
 """Structure detection: cells pinned by the margins alone.
 
-A line is a 1-D fiber of the table (fix all indices but one).  Forcing rules
-run to fixpoint over all lines of all axes:
+A line is a 1-D fiber of the table (fix all indices but one).  Each line
+keeps two counters: rs, the ones still to place, and zs, the zeros still
+to place (its free-cell count is rs + zs).  Forcing rules run to fixpoint
+over all lines of all axes:
 
-  * residual margin 0  -> every free cell in the line is a structural zero,
-  * a line down to one free cell -> that cell equals the residual,
-  * (saturation rule) residual margin equal to the free-cell count -> every
-    free cell is a forced one.
+  * rs == 0 -> every free cell in the line is a structural zero,
+  * (saturation rule) zs == 0 -> every free cell is a forced one.
 
-A residual outside [0, free] is infeasible: no completion exists.  The
-saturation rule can be masked per axis mid-sampling (`nosat_axes`): a
-still-unfilled saturated line then stays open, and the sampler resolves its
-cells at draw time as certain inclusions (see sis.py for the proposal
-presets built on this).  The same propagation engine drives the SIS
+A line with rs < 0 or zs < 0 is infeasible: no completion exists.  A line
+down to one free cell has rs == 0 or zs == 0, so the one-free-cell rule is
+not a rule of its own.  The saturation rule can be masked per axis
+mid-sampling (`nosat_axes`): a line with zs == 0 and rs >= 2 then stays
+open, and the sampler resolves its cells at draw time as certain
+inclusions (see sis.py for the proposal presets built on this); at rs == 1
+it is filled all the same.  The same propagation engine drives the SIS
 samplers (re-reduction after every sampled column), the exact enumerator,
 and the path expander (both via an undo trail), so it is written as a
 worklist over flat line ids rather than array scans.
+
+A placement decrements one counter on each of its d lines (rs for a one,
+zs for a zero), and undo_to increments it back.  The worklist holds only
+decisive lines: a placement queues a line when the counter it decremented
+reaches 0 or below, or when a one leaves a masked saturated line (zs == 0)
+at rs == 1.  (set_cell and the seeds of initial_reduce and close_saturated
+queue lines regardless.)  This reaches the fixpoint of a worklist that
+queues every line a placement touches: the rules are monotone, a line
+with both counters above 0 can neither fire nor fail, and a line that is
+decisive stays so until it is filled.  So the cells, the counters and the
+verdict are the same; only the trail order and, after a contradiction,
+the partial fill differ, and every caller rewinds or rejects there.
 """
 
 from __future__ import annotations
@@ -94,20 +108,20 @@ def _geometry(sizes: tuple[int, ...]) -> _Geometry:
 
 
 class TableState:
-    """Mutable partial assignment: cell values (-1 free, 0, 1), per-line
-    residual margins rs, and per-line free-cell counts.
+    """Mutable partial assignment: cell values (-1 free, 0, 1) and, per
+    line, the ones still to place (rs) and the zeros still to place (zs).
 
     set_cell and propagate record every placement on an undo trail so the
     exact enumerator can backtrack; the samplers simply never rewind.
     """
 
-    __slots__ = ("geo", "cells", "rs", "free", "trail")
+    __slots__ = ("geo", "cells", "rs", "zs", "trail")
 
     def __init__(self, geo: _Geometry, rs: list[int]):
         self.geo = geo
         self.cells = [-1] * geo.ncells
         self.rs = rs
-        self.free = [len(geo.line_cells[l]) for l in range(geo.nlines)]
+        self.zs = [len(geo.line_cells[l]) - r for l, r in enumerate(rs)]
         self.trail: list[int] = []
 
     @classmethod
@@ -118,15 +132,18 @@ class TableState:
             rs.extend(int(v) for v in m.margins[a].ravel())
         return cls(geo, rs)
 
+    @property
+    def free(self) -> list[int]:
+        """Each line's free-cell count, rs + zs (derived, read-only)."""
+        return [r + z for r, z in zip(self.rs, self.zs)]
+
     def set_cell(self, cid: int, value: int, pending: deque) -> None:
-        """Place a value in a free cell and queue its lines for re-check."""
+        """Place a value in a free cell and queue all its lines."""
         self.cells[cid] = value
         self.trail.append(cid)
-        rs = self.rs
-        free = self.free
+        count = self.rs if value else self.zs
         for lid in self.geo.cell_lines[cid]:
-            free[lid] -= 1
-            rs[lid] -= value
+            count[lid] -= 1
             pending.append(lid)
 
     def propagate(self, pending: deque, nosat_axes=()) -> int:
@@ -135,26 +152,43 @@ class TableState:
 
         nosat_axes exempts axes from the saturation rule: their lines are
         still bound-checked and filled once down to a single free cell, but a
-        line whose residual equals its free-cell count (>= 2) stays unfilled
-        and is left for the caller to handle."""
+        line with no zeros left and two or more ones left stays unfilled and
+        is left for the caller to handle."""
         cells = self.cells
         rs = self.rs
-        free = self.free
+        zs = self.zs
+        trail = self.trail
+        push = pending.append
         line_cells = self.geo.line_cells
+        cell_lines = self.geo.cell_lines
         line_axis = self.geo.line_axis
         while pending:
             lid = pending.popleft()
             r = rs[lid]
-            f = free[lid]
-            if r < 0 or r > f:
+            z = zs[lid]
+            if r < 0 or z < 0:
                 return lid
-            if f == 0:
+            if r == 0:
+                if z == 0:
+                    continue
+                v = 0
+                count = zs
+            elif z == 0 and (r == 1 or line_axis[lid] not in nosat_axes):
+                v = 1
+                count = rs
+            else:
                 continue
-            if r == 0 or (r == f and (f == 1 or line_axis[lid] not in nosat_axes)):
-                v = 0 if r == 0 else 1
-                for cid in line_cells[lid]:
-                    if cells[cid] < 0:
-                        self.set_cell(cid, v, pending)
+            # the placement is written out here and in layers.set_line rather
+            # than called: a call per placed line costs this loop its speedup
+            for cid in line_cells[lid]:
+                if cells[cid] < 0:
+                    cells[cid] = v
+                    trail.append(cid)
+                    for l in cell_lines[cid]:
+                        c = count[l] - 1
+                        count[l] = c
+                        if c <= 0 or (v and c == 1 and not zs[l]):
+                            push(l)
         return -1
 
     def initial_reduce(self, nosat_axes=()) -> int:
@@ -163,14 +197,14 @@ class TableState:
 
     def close_saturated(self) -> int:
         """Full-strength propagation from a fixpoint of the light rules
-        (saturation masked): seed only the saturated lines, free > 0 and
-        residual == free, in ascending id.  At such a fixpoint no other
-        line can fire until one of its cells is set, which queues it, and
-        the forcing rules are monotone, so the cells and the verdict are
-        those of initial_reduce()."""
+        (saturation masked): seed only the saturated lines, no zeros left
+        and ones left, in ascending id.  At such a fixpoint no other line
+        can fire until one of its cells is set, which queues it, and the
+        forcing rules are monotone, so the cells and the verdict are those
+        of initial_reduce()."""
         return self.propagate(deque([
-            lid for lid, r, f in zip(range(self.geo.nlines), self.rs, self.free)
-            if r == f and f
+            lid for lid, r, z in zip(range(self.geo.nlines), self.rs, self.zs)
+            if r and not z
         ]))
 
     def copy(self) -> "TableState":
@@ -179,7 +213,7 @@ class TableState:
         new.geo = self.geo
         new.cells = self.cells.copy()
         new.rs = self.rs.copy()
-        new.free = self.free.copy()
+        new.zs = self.zs.copy()
         new.trail = []
         return new
 
@@ -189,19 +223,19 @@ class TableState:
     def undo_to(self, mark: int) -> None:
         cells = self.cells
         rs = self.rs
-        free = self.free
+        zs = self.zs
         trail = self.trail
+        cell_lines = self.geo.cell_lines
         while len(trail) > mark:
             cid = trail.pop()
-            v = cells[cid]
+            count = rs if cells[cid] else zs
             cells[cid] = -1
-            for lid in self.geo.cell_lines[cid]:
-                free[lid] += 1
-                rs[lid] += v
+            for lid in cell_lines[cid]:
+                count[lid] += 1
 
     def residual_bytes(self) -> bytes:
         """Every line's residual packed at one fixed width, for memo keys.
-        Residuals are in [0, free] at a fixpoint."""
+        Residuals are in [0, line length] at a fixpoint."""
         return array(self.geo.rs_code, self.rs).tobytes()
 
     def cells_array(self) -> np.ndarray:

@@ -72,3 +72,12 @@ def test_fewer_than_ten_pairs_is_a_usage_error():
         assert e.code == 2
     else:
         raise AssertionError("--pairs 9 was accepted")
+
+
+def test_scratch_directory_is_created_when_missing(tmp_path):
+    base = tmp_path / "not" / "there"
+    scratch = bench_record.make_scratch(base)
+    assert scratch.is_dir() and scratch.parent == base
+    # an existing directory is reused as the parent of a fresh one
+    again = bench_record.make_scratch(base)
+    assert again.is_dir() and again.parent == base and again != scratch

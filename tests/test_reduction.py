@@ -13,7 +13,7 @@ from cptables import (
     marginals_of,
     semimagic_margins,
 )
-from cptables.layers import SampleRejected, sample_layer
+from cptables.layers import SampleRejected, line_weights, sample_layer, set_line
 from cptables.sis import _rng_chooser
 
 
@@ -230,3 +230,113 @@ def test_closing_pass_comparison_sees_fills_and_contradictions():
         fired += f
         rejected += r
     assert fired >= 100 and rejected >= 3
+
+
+class _Reference:
+    """The queue-everything engine, kept as the specification of
+    TableState's propagation: every placement queues all lines of its cell,
+    and the rules read each line's residual r and free count f.  It counts
+    `hits`, the ones that a fill or a line placement puts into a masked
+    saturated line with r == f == 2, leaving it at one free cell."""
+
+    def __init__(self, state, nosat_axes):
+        self.geo = state.geo
+        self.cells = list(state.cells)
+        self.rs = list(state.rs)
+        self.free = list(state.free)
+        self.nosat_axes = nosat_axes
+        self.hits = 0
+
+    def place(self, cid, value, pending, count_hits=True):
+        self.cells[cid] = value
+        for lid in self.geo.cell_lines[cid]:
+            if (count_hits and value and self.rs[lid] == self.free[lid] == 2
+                    and self.geo.line_axis[lid] in self.nosat_axes):
+                self.hits += 1
+            self.free[lid] -= 1
+            self.rs[lid] -= value
+            pending.append(lid)
+
+    def propagate(self, pending) -> bool:
+        while pending:
+            lid = pending.popleft()
+            r, f = self.rs[lid], self.free[lid]
+            if r < 0 or r > f:
+                return False
+            if f == 0:
+                continue
+            if r == 0 or (r == f and (
+                    f == 1 or self.geo.line_axis[lid] not in self.nosat_axes)):
+                for cid in self.geo.line_cells[lid]:
+                    if self.cells[cid] < 0:
+                        self.place(cid, 0 if r == 0 else 1, pending)
+        return True
+
+
+def _check_engine(seed) -> tuple[int, int]:
+    """Drive random partial fills of a random d = 2, 3 or 4 table through
+    TableState (set_cell + propagate, or set_line) and the reference engine
+    side by side, under a random saturation mask.  The verdicts must agree,
+    and after a feasible round the cells and both counters too.  Values
+    mostly follow the table the margins came from, so fills stay feasible
+    for a while.  Returns (reference hits, contradictions)."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    sizes = tuple(int(s) for s in rng.integers(2, {2: 7, 3: 5, 4: 4}[d], size=d))
+    table = (rng.random(sizes) < rng.uniform(0.2, 0.8)).astype(int)
+    state = TableState.from_marginals(marginals_of(BinaryTable.from_array(table)))
+    nosat = tuple(a for a in range(d) if rng.random() < 0.5)
+    truth = table.ravel().tolist()
+    ref = _Reference(state, nosat)
+    assert state.initial_reduce(nosat) < 0
+    assert ref.propagate(deque(range(state.geo.nlines)))
+    while -1 in state.cells:
+        assert (state.cells, state.rs, state.free) == (ref.cells, ref.rs, ref.free)
+        pending, ref_pending = deque(), deque()
+        if rng.random() < 0.5:
+            free_cids = [c for c, v in enumerate(state.cells) if v < 0]
+            for cid in rng.choice(free_cids, min(len(free_cids), 3),
+                                  replace=False).tolist():
+                value = truth[cid] if rng.random() < 0.85 else 1 - truth[cid]
+                state.set_cell(cid, value, pending)
+                ref.place(cid, value, ref_pending, count_hits=False)
+            ok = state.propagate(pending, nosat) < 0
+        else:
+            lo = state.geo.offset[-1]
+            open_lines = [l for l in range(lo, state.geo.nlines)
+                          if state.rs[l] or state.zs[l]]
+            lid = open_lines[int(rng.integers(len(open_lines)))]
+            free_cids, _, certain = line_weights(state, lid)
+            size = state.rs[lid] - len(certain)
+            if rng.random() < 0.15 or not 0 <= size <= len(free_cids):
+                size = int(rng.integers(len(free_cids) + 1))
+            picked = rng.choice(len(free_cids), size, replace=False).tolist()
+            for cid in certain:
+                ref.place(cid, 1, ref_pending)
+            for pos, cid in enumerate(free_cids):
+                ref.place(cid, int(pos in picked), ref_pending)
+            ok = set_line(state, free_cids, certain, picked, nosat)
+        assert ok == ref.propagate(ref_pending)
+        if not ok:
+            # the partial fill after a contradiction depends on the
+            # worklist order; every caller rewinds or rejects there
+            return ref.hits, 1
+    assert (state.cells, state.rs, state.free) == (ref.cells, ref.rs, ref.free)
+    return ref.hits, 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_decisive_worklist_matches_the_queue_everything_engine(seed):
+    _check_engine(seed)
+
+
+def test_engine_comparison_sees_masked_closes_and_contradictions():
+    # the masked one-free-cell close is the case a decisive-only queue
+    # reaches through its own clause, so the comparison must exercise it
+    hits = contradictions = 0
+    for seed in range(200):
+        h, c = _check_engine(seed)
+        hits += h
+        contradictions += c
+    assert hits >= 20 and contradictions >= 5

@@ -4,9 +4,9 @@
     python3 tools/bench_record.py [--parent REV] [--change REV] [--pairs 10]
                                   [--seed 2001] [--scratch DIR] [--out PATH]
 
-Both commits are exported with `git archive` into a scratch directory (a
-fresh temporary one unless `--scratch` names one), so the runs see exactly
-the committed files.  For each workload of BENCHMARK.json, pair k runs
+Both commits are exported with `git archive` into a fresh temporary
+directory (under `--scratch DIR` if given; DIR is created when missing), so
+the runs see exactly the committed files.  For each workload of BENCHMARK.json, pair k runs
 `perfbench/run.py --trace 0 --seed <seed + k>` once on each side, for the
 run length BENCHMARK.json sets, the parent first in even pairs and the
 change first in odd ones.  At least ten pairs are run.  The record, BENCH_<short change
@@ -146,6 +146,14 @@ def markdown_table(record: dict) -> str:
     return "\n".join(lines)
 
 
+def make_scratch(base: Path | None) -> Path:
+    """A fresh temporary directory for the exports, under base when given
+    (base and its parents are created if missing)."""
+    if base is not None:
+        base.mkdir(parents=True, exist_ok=True)
+    return Path(tempfile.mkdtemp(prefix="bench_record_", dir=base))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--change", default="HEAD")
@@ -162,7 +170,7 @@ def main(argv=None) -> int:
     parent = git("rev-parse", args.parent or f"{change}^")
     workloads = [w["name"] for w in SPEC["workloads"]]
     out = args.out or ROOT / f"BENCH_{change[:7]}.json"
-    scratch = Path(tempfile.mkdtemp(prefix="bench_record_", dir=args.scratch))
+    scratch = make_scratch(args.scratch)
     trees = {"parent": scratch / "parent", "change": scratch / "change"}
     try:
         export(parent, trees["parent"])
