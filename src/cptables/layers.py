@@ -141,6 +141,7 @@ def set_line(
     zeros = [cid for pos, cid in enumerate(free_cids) if pos not in picked]
     cells = state.cells
     trail = state.trail
+    rs = state.rs
     zs = state.zs
     cell_lines = state.geo.cell_lines
     pending: deque = deque()
@@ -148,14 +149,17 @@ def set_line(
     # TableState.propagate's placement loop, written out (not called per
     # line, which costs the engine its speedup): a line is queued only once
     # a rule can act on it
-    for v, cids, count in ((1, ones, state.rs), (0, zeros, zs)):
+    for v, cids, count, other in ((1, ones, rs, zs), (0, zeros, zs, rs)):
         for cid in cids:
             cells[cid] = v
             trail.append(cid)
             for l in cell_lines[cid]:
                 c = count[l] - 1
                 count[l] = c
-                if c <= 0 or (v and c == 1 and not zs[l]):
+                if c <= 0:
+                    if c or other[l]:
+                        push(l)
+                elif v and c == 1 and not other[l]:
                     push(l)
     return state.propagate(pending, nosat_axes) < 0
 

@@ -22,14 +22,17 @@ worklist over flat line ids rather than array scans.
 A placement decrements one counter on each of its d lines (rs for a one,
 zs for a zero), and undo_to increments it back.  The worklist holds only
 decisive lines: a placement queues a line when the counter it decremented
-reaches 0 or below, or when a one leaves a masked saturated line (zs == 0)
-at rs == 1.  (set_cell and the seeds of initial_reduce and close_saturated
-queue lines regardless.)  This reaches the fixpoint of a worklist that
-queues every line a placement touches: the rules are monotone, a line
-with both counters above 0 can neither fire nor fail, and a line that is
-decisive stays so until it is filled.  So the cells, the counters and the
-verdict are the same; only the trail order and, after a contradiction,
-the partial fill differ, and every caller rewinds or rejects there.
+goes below 0, or reaches 0 while the other counter is not 0, or when a
+one leaves a masked saturated line (zs == 0) at rs == 1.  A line whose
+counters both reach 0 is complete and is not queued.  (set_cell and the
+seeds of initial_reduce and close_saturated queue lines regardless.)
+This reaches the fixpoint of a worklist that queues every line a
+placement touches: the rules are monotone, a line with both counters
+above 0 can neither fire nor fail, nor can a complete one, and a line
+that is decisive stays so until it is filled.  So the cells, the counters
+and the verdict are the same; only the trail order and, after a
+contradiction, the partial fill differ, and every caller rewinds or
+rejects there.
 """
 
 from __future__ import annotations
@@ -171,11 +174,9 @@ class TableState:
             if r == 0:
                 if z == 0:
                     continue
-                v = 0
-                count = zs
+                v, count, other = 0, zs, rs
             elif z == 0 and (r == 1 or line_axis[lid] not in nosat_axes):
-                v = 1
-                count = rs
+                v, count, other = 1, rs, zs
             else:
                 continue
             # the placement is written out here and in layers.set_line rather
@@ -187,7 +188,10 @@ class TableState:
                     for l in cell_lines[cid]:
                         c = count[l] - 1
                         count[l] = c
-                        if c <= 0 or (v and c == 1 and not zs[l]):
+                        if c <= 0:
+                            if c or other[l]:
+                                push(l)
+                        elif v and c == 1 and not other[l]:
                             push(l)
         return -1
 
