@@ -180,7 +180,9 @@ class TableState:
             else:
                 continue
             # the placement is written out here and in layers.set_line rather
-            # than called: a call per placed line costs this loop its speedup
+            # than called: a call per placed line costs this loop its speedup.
+            # It queues decisive lines only (module docstring); a line whose
+            # counters both reach 0 is complete
             for cid in line_cells[lid]:
                 if cells[cid] < 0:
                     cells[cid] = v
