@@ -144,6 +144,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_sample(args) -> int:
     _require(args.count >= 1, f"--count must be >= 1, got {args.count}")
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
+    _require(args.max_attempts is None or args.max_attempts >= 1,
+             f"--max-attempts must be >= 1, got {args.max_attempts}")
     m = _load_input(args.input)
     _check_layer_axis(args.layer_axis, m)
     outcomes, attempts = draw_accepted_tables(
@@ -174,6 +176,8 @@ def _cmd_sample(args) -> int:
 def _cmd_exact(args) -> int:
     _require(args.enumerate is None or args.enumerate >= 1,
              f"--enumerate must be >= 1, got {args.enumerate}")
+    _require(args.budget is None or args.budget >= 1,
+             f"--budget must be >= 1, got {args.budget}")
     m = _load_input(args.input)
     if args.enumerate is not None:
         tables = exact_enumerate(m, limit=args.enumerate, budget=args.budget)

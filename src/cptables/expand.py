@@ -44,7 +44,7 @@ import numpy as np
 from .cpdist import log_esym
 from .layers import layer_shape, line_weights, next_layer, next_line, set_line
 from .oracle import EnumerationBudgetError
-from .sis import _Policy, _policy, _prepare, _Start
+from .sis import _masked_axes, _prepare, _Start
 from .tables import Dims, InvariantError, MarginalSet, validate_marginals
 
 # A memo node is a tuple of edges (lp, bits, child), one per branch in the
@@ -110,9 +110,9 @@ def expand_paths(
     """Expand every trajectory of the proposal that sample_table_d draws
     from (sample_table3 for three-way input, with its layer axis)."""
     validate_marginals(m)
-    policy = _policy(proposal, m.dims.d)
+    nosat = _masked_axes(proposal, m.dims.d)
     start = _prepare(m, layer_axis)
-    inner = _expand(start, policy, max_leaves)
+    inner = _expand(start, nosat, max_leaves)
     if start.inv is None:
         return inner
     # turn every reached table back in one pass: stack the keys as one
@@ -129,7 +129,7 @@ def expand_paths(
     return PathExpansion(m.dims, tables, inner.reject_mass, inner.leaves)
 
 
-def _expand(start: _Start, policy: _Policy, max_leaves: int) -> PathExpansion:
+def _expand(start: _Start, nosat: tuple[int, ...], max_leaves: int) -> PathExpansion:
     dims = start.m.dims
     tables: dict[bytes, float] = {}
     tally = {"leaves": 0, "reject": 0.0}
@@ -195,7 +195,7 @@ def _expand(start: _Start, policy: _Policy, max_leaves: int) -> PathExpansion:
             replay(node, out, logp)
             return node
         lid = next_line(state, layer) if layer >= 0 else -1
-        if lid < 0 and layer >= 0 and policy.layer_pass:
+        if lid < 0 and layer >= 0 and nosat:
             # the layer is done: the classic layer-end pass is one edge
             mark = state.mark()
             if state.close_saturated() >= 0:
@@ -228,8 +228,7 @@ def _expand(start: _Start, policy: _Policy, max_leaves: int) -> PathExpansion:
                 for picked in combinations(positives, size):
                     lp = min(sum(log_w[i] for i in picked) - log_r, 0.0)
                     mark = state.mark()
-                    if set_line(state, free_cids, certain, picked,
-                                policy.nosat_mid):
+                    if set_line(state, free_cids, certain, picked, nosat):
                         bits = ones_since(mark)
                         child = visit(layer, out | bits, logp + lp)
                         edges.append((lp, bits, child))

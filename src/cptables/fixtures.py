@@ -106,8 +106,7 @@ def fixture(name: str) -> MarginalSet:
         parts = name.split("-")
         if len(parts) == 3:
             try:
-                m, s = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise KeyError(f"bad semimagic fixture name: {name!r}") from None
-            return semimagic_margins(m, s)
+                return semimagic_margins(int(parts[1]), int(parts[2]))
+            except ValueError as e:
+                raise KeyError(f"bad semimagic fixture name {name!r}: {e}") from None
     raise KeyError(f"unknown fixture {name!r}")

@@ -16,10 +16,10 @@ cell that cross the drawn line (two factors in a three-way table, one in a
 two-way table).  A crossing line that is saturated (zs_b == 0) makes
 the cell a certain inclusion: it is set to one with probability one before
 the conditional Poisson draw over the remaining cells, adding nothing to
-log q.  set_line places a draw's cells and re-runs the structure rules on
-the residual problem (the saturation rule optionally masked per axis, see
-sis.py); cells they force are probability-1 events and also add nothing to
-log q.  The final line of a layer (and the final layer of a table) is
+log q.  set_line hands a draw's cells to TableState.propagate, which
+places them and re-runs the structure rules on the residual problem (the
+saturation rule optionally masked per axis, see sis.py); cells they force
+are probability-1 events and also add nothing to log q.  The final line of a layer (and the final layer of a table) is
 therefore filled deterministically by propagation, and any residual
 mismatch surfaces as infeasibility, i.e. a rejection.  The classic
 proposal's layer-end pass is TableState.close_saturated.
@@ -134,34 +134,12 @@ def set_line(
     state: TableState, free_cids, certain, picked, nosat_axes=()
 ) -> bool:
     """Set a line's certain cells to one, the free cells at the picked
-    positions to one and the other free cells to zero, then propagate.
-    Returns False when propagation finds a dead end."""
+    positions to one and the other free cells to zero, in one propagate
+    call.  Returns False when propagation finds a dead end."""
     picked = set(picked)
     ones = certain + [cid for pos, cid in enumerate(free_cids) if pos in picked]
     zeros = [cid for pos, cid in enumerate(free_cids) if pos not in picked]
-    cells = state.cells
-    trail = state.trail
-    rs = state.rs
-    zs = state.zs
-    cell_lines = state.geo.cell_lines
-    pending: deque = deque()
-    push = pending.append
-    # TableState.propagate's placement loop, written out (not called per
-    # line, which costs the engine its speedup): a line is queued only once
-    # a rule can act on it
-    for v, cids, count, other in ((1, ones, rs, zs), (0, zeros, zs, rs)):
-        for cid in cids:
-            cells[cid] = v
-            trail.append(cid)
-            for l in cell_lines[cid]:
-                c = count[l] - 1
-                count[l] = c
-                if c <= 0:
-                    if c or other[l]:
-                        push(l)
-                elif v and c == 1 and not other[l]:
-                    push(l)
-    return state.propagate(pending, nosat_axes) < 0
+    return state.propagate(deque(), nosat_axes, ones, zeros) < 0
 
 
 def draw_line(

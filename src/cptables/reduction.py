@@ -19,13 +19,16 @@ samplers (re-reduction after every sampled column), the exact enumerator,
 and the path expander (both via an undo trail), so it is written as a
 worklist over flat line ids rather than array scans.
 
-A placement decrements one counter on each of its d lines (rs for a one,
-zs for a zero), and undo_to increments it back.  The worklist holds only
-decisive lines: a placement queues a line when the counter it decremented
-goes below 0, or reaches 0 while the other counter is not 0, or when a
-one leaves a masked saturated line (zs == 0) at rs == 1.  A line whose
-counters both reach 0 is complete and is not queued.  (set_cell and the
-seeds of initial_reduce and close_saturated queue lines regardless.)
+TableState.propagate makes every placement of a walk in one loop: the
+cells of a draw, passed in as its ones and zeros, and the cells the rules
+force.  A placement decrements one counter on each of its d lines (rs for
+a one, zs for a zero), and undo_to increments it back.  The worklist holds
+only decisive lines: a placement queues a line when the counter it
+decremented goes below 0, or reaches 0 while the other counter is not 0,
+or when a one leaves a masked saturated line (zs == 0) at rs == 1.  A line
+whose counters both reach 0 is complete and is not queued.  (set_cell, the
+enumerator's branch step, and the seeds of initial_reduce and
+close_saturated queue lines regardless.)
 This reaches the fixpoint of a worklist that queues every line a
 placement touches: the rules are monotone, a line with both counters
 above 0 can neither fire nor fail, nor can a complete one, and a line
@@ -149,9 +152,10 @@ class TableState:
             count[lid] -= 1
             pending.append(lid)
 
-    def propagate(self, pending: deque, nosat_axes=()) -> int:
-        """Run the forcing rules until the worklist drains.  Returns -1 on
-        success or the flat id of the first line proved unsatisfiable.
+    def propagate(self, pending: deque, nosat_axes=(), ones=(), zeros=()) -> int:
+        """Set the free cells `ones` to 1 and then `zeros` to 0, and run the
+        forcing rules until the worklist drains.  Returns -1 on success or
+        the flat id of the first line proved unsatisfiable.
 
         nosat_axes exempts axes from the saturation rule: their lines are
         still bound-checked and filled once down to a single free cell, but a
@@ -165,25 +169,12 @@ class TableState:
         line_cells = self.geo.line_cells
         cell_lines = self.geo.cell_lines
         line_axis = self.geo.line_axis
-        while pending:
-            lid = pending.popleft()
-            r = rs[lid]
-            z = zs[lid]
-            if r < 0 or z < 0:
-                return lid
-            if r == 0:
-                if z == 0:
-                    continue
-                v, count, other = 0, zs, rs
-            elif z == 0 and (r == 1 or line_axis[lid] not in nosat_axes):
-                v, count, other = 1, rs, zs
-            else:
-                continue
-            # the placement is written out here and in layers.set_line rather
-            # than called: a call per placed line costs this loop its speedup.
-            # It queues decisive lines only (module docstring); a line whose
-            # counters both reach 0 is complete
-            for cid in line_cells[lid]:
+        # the job in hand is (value, cells, count, other): the given ones,
+        # then the given zeros, then each decisive line's cells (only its
+        # free ones are set)
+        v, cids, count, other = 1, ones, rs, zs
+        while True:
+            for cid in cids:
                 if cells[cid] < 0:
                     cells[cid] = v
                     trail.append(cid)
@@ -195,7 +186,26 @@ class TableState:
                                 push(l)
                         elif v and c == 1 and not other[l]:
                             push(l)
-        return -1
+            if zeros is not None:
+                v, cids, count, other = 0, zeros, zs, rs
+                zeros = None
+                continue
+            while True:
+                if not pending:
+                    return -1
+                lid = pending.popleft()
+                r = rs[lid]
+                z = zs[lid]
+                if r < 0 or z < 0:
+                    return lid
+                if r == 0:
+                    if z:
+                        v, count, other = 0, zs, rs
+                        break
+                elif z == 0 and (r == 1 or line_axis[lid] not in nosat_axes):
+                    v, count, other = 1, rs, zs
+                    break
+            cids = line_cells[lid]
 
     def initial_reduce(self, nosat_axes=()) -> int:
         """Seed the worklist with every line (axes in order) and propagate."""

@@ -35,9 +35,12 @@ They are different proposal distributions, so per-sample weights (and the
 acceptance rate and cv^2) differ; both are supported on all tables with
 the requested margins, so both give unbiased counts.  Tables with d != 3
 have a single layer, so they have no layer pass to defer saturation to:
-both presets run the guided rules there and coincide.  Initial reduction
-always applies the saturation rule on every axis: full lines in the
-*input* margins are structural ones, not sampling events.
+both presets run the guided rules there and coincide.  So a preset's
+policy on a table is one value, the axes it masks (_masked_axes): all
+three under classic on a three-way table, none otherwise; a layer ends
+with the full-strength pass exactly when some axis is masked.  Initial
+reduction always applies the saturation rule on every axis: full lines in
+the *input* margins are structural ones, not sampling events.
 
 A completed proposal passes one final check before it counts: the cells
 themselves, read into one int8 array, must all be 0 or 1 and sum over
@@ -76,30 +79,14 @@ from .tables import (
 PROPOSALS = ("classic", "guided")
 
 
-@dataclass(frozen=True)
-class _Policy:
-    """How hard re-detection forces between draws.
-
-    nosat_mid lists the axes whose saturated lines stay open between draws
-    inside a layer (their cells become certain inclusions when a draw
-    reaches them); layer_pass adds one full-strength propagation pass each
-    time a layer completes."""
-
-    nosat_mid: tuple[int, ...]
-    layer_pass: bool
-
-
-_POLICIES = {
-    "classic": _Policy(nosat_mid=(0, 1, 2), layer_pass=True),
-    "guided": _Policy(nosat_mid=(), layer_pass=False),
-}
-
-
-def _policy(proposal: str, d: int) -> _Policy:
-    """The preset's policy for a d-way table; d != 3 takes the guided one."""
+def _masked_axes(proposal: str, d: int) -> tuple[int, ...]:
+    """The preset's policy on a d-way table: the axes whose saturated lines
+    stay open between draws inside a layer (their cells become certain
+    inclusions when a draw reaches them).  Each layer ends with one
+    full-strength pass exactly when some axis is masked."""
     if proposal not in PROPOSALS:
         raise ValueError(f"proposal must be one of {PROPOSALS}")
-    return _POLICIES[proposal if d == 3 else "guided"]
+    return (0, 1, 2) if proposal == "classic" and d == 3 else ()
 
 
 @dataclass(frozen=True)
@@ -120,7 +107,7 @@ class SisConfig:
             raise ValueError("workers must be >= 1")
         if self.layer_axis < 0:
             raise ValueError("layer_axis must be >= 0")
-        _policy(self.proposal, 3)  # rejects an unknown preset
+        _masked_axes(self.proposal, 3)  # rejects an unknown preset
 
 
 def _rng_chooser(rng: np.random.Generator):
@@ -232,8 +219,8 @@ def sample_table_d(
 def _sample(m: MarginalSet, start: _Start, rng, proposal: str, choose):
     """One proposal from a prepared start, in m's axis order: the layers
     in next_layer order, each followed by the layer-end pass when the
-    policy has one."""
-    policy = _policy(proposal, m.dims.d)
+    preset masks an axis."""
+    nosat = _masked_axes(proposal, m.dims.d)
     if choose is None:
         choose = _rng_chooser(rng)
     try:
@@ -243,8 +230,8 @@ def _sample(m: MarginalSet, start: _Start, rng, proposal: str, choose):
             layer = next_layer(state)
             if layer < 0:
                 break
-            log_q += sample_layer(state, layer, choose, policy.nosat_mid)
-            if policy.layer_pass and state.close_saturated() >= 0:
+            log_q += sample_layer(state, layer, choose, nosat)
+            if nosat and state.close_saturated() >= 0:
                 raise SampleRejected(f"layer={layer} closing-pass")
         out = _finish(start.m, state, log_q)
     except SampleRejected as r:

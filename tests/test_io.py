@@ -31,6 +31,15 @@ def test_marginal_text_round_trips_every_bundled_set():
             assert np.array_equal(back.margins[a], m.margins[a])
 
 
+@pytest.mark.parametrize("name, reason", [
+    ("semimagic-1-1", "cube side"),
+    ("semimagic-3-5", "line sum"),
+])
+def test_bad_semimagic_fixture_name_raises_key_error(name, reason):
+    with pytest.raises(KeyError, match=reason):
+        fixture(name)
+
+
 def test_marginal_text_round_trips_four_way():
     rng = np.random.default_rng(2)
     cells = (rng.random((2, 3, 2, 2)) < 0.5).astype(int)
