@@ -19,10 +19,11 @@ the conditional Poisson draw over the remaining cells, adding nothing to
 log q.  set_line hands a draw's cells to TableState.propagate, which
 places them and re-runs the structure rules on the residual problem (the
 saturation rule optionally masked per axis, see sis.py); cells they force
-are probability-1 events and also add nothing to log q.  The final line of a layer (and the final layer of a table) is
-therefore filled deterministically by propagation, and any residual
-mismatch surfaces as infeasibility, i.e. a rejection.  The classic
-proposal's layer-end pass is TableState.close_saturated.
+are probability-1 events and also add nothing to log q.  The final line of
+a layer (and the final layer of a table) is therefore filled
+deterministically by propagation, and any residual mismatch surfaces as
+infeasibility, i.e. a rejection.  The classic proposal's layer-end pass
+is TableState.close_saturated.
 
 sis.py drives these steps with one random draw per line; expand.py
 branches over every admissible subset instead.

@@ -170,8 +170,7 @@ class TableState:
         cell_lines = self.geo.cell_lines
         line_axis = self.geo.line_axis
         # the job in hand is (value, cells, count, other): the given ones,
-        # then the given zeros, then each decisive line's cells (only its
-        # free ones are set)
+        # then the given zeros, then each decisive line's cells
         v, cids, count, other = 1, ones, rs, zs
         while True:
             for cid in cids:
