@@ -66,10 +66,8 @@ def _load_input(source: str) -> MarginalSet:
         return parse_marginal_file(source)
     try:
         return fixture(source)
-    except KeyError:
-        raise MarginalFileError(
-            f"input {source!r} is neither a file nor a known fixture name", 1
-        ) from None
+    except KeyError as e:  # its message is the reason
+        raise _UsageError(f"input {source!r} is not a file; {e.args[0]}") from None
 
 
 def _log10(log_value: float | None) -> float | None:
@@ -221,7 +219,10 @@ def _cmd_fixtures(args) -> int:
             print(f"{name}  ({sizes}, total {m.total})")
         print("semimagic-<m>-<s>  (generated: m x m x m cube, every margin s)")
         return 0
-    m = fixture(args.name)
+    try:
+        m = fixture(args.name)
+    except KeyError as e:
+        raise _UsageError(e.args[0]) from None
     text = format_marginals(m, [f"fixture {args.name}"])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -297,7 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (MarginalFileError, UcinetFormatError, KeyError, FileNotFoundError,
+    except (MarginalFileError, UcinetFormatError, FileNotFoundError,
             _UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR

@@ -13,7 +13,9 @@ products.  Everything here works from the weights:
     81:457), which makes one pass over the items, including item j with
     probability w_j * R(s-1, items after j) / R(s, items from j), and
     lands exactly on the CP distribution.  Its log-pmf comes from the same
-    backward R table.
+    backward R table.  It takes one uniform per positive weight, from a
+    numpy Generator or from UniformBlocks, which hands out a generator's
+    uniforms a block at a time with the same bits.
 
 Weights of zero are allowed in the vectors (such items are simply never
 selected).  Dynamic range is handled by normalizing weights to max 1 inside
@@ -22,8 +24,8 @@ the linear recurrences and carrying exact log corrections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,12 +36,32 @@ class CPInfeasibleError(CPTablesError):
     """No subset of the requested size has positive weight (R = 0)."""
 
 
-@dataclass(frozen=True)
-class CPSample:
+class CPSample(NamedTuple):
     """One drawn subset (sorted item indices) and its exact log pmf."""
 
     chosen: tuple[int, ...]
     log_prob: float
+
+
+class UniformBlocks:
+    """A generator's uniforms, fetched 64 at a time: random(k) returns the
+    next k as a list.  Generator.random(a) followed by random(b) gives the
+    bits of one random(a + b), so these are the values of one
+    rng.random(k) call per request, as long as nothing else draws from rng
+    meanwhile; rng ends up to a block ahead."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.buf: list[float] = []
+        self.pos = 0
+
+    def random(self, k: int) -> list[float]:
+        pos = self.pos
+        if pos + k > len(self.buf):  # keep the leftover, append a block
+            self.buf = self.buf[pos:] + self.rng.random(max(k, 64)).tolist()
+            pos = 0
+        self.pos = pos + k
+        return self.buf[pos:pos + k]
 
 
 def _as_weights(w) -> np.ndarray:
@@ -51,24 +73,6 @@ def _as_weights(w) -> np.ndarray:
     return w
 
 
-def _esym_rows(w: np.ndarray, smax: int) -> tuple[np.ndarray, float]:
-    """Linear-space elementary symmetric values for degrees 0..smax, with
-    the weights normalized so their max is 1.  Returns (values, log_scale)
-    where true R(s) = values[s] * exp(s * log_scale)."""
-    rows = np.zeros(smax + 1)
-    rows[0] = 1.0
-    if w.size == 0 or smax == 0:
-        return rows, 0.0
-    wmax = float(w.max())
-    if wmax <= 0.0:
-        return rows, 0.0
-    ws = w / wmax
-    for wi in ws:
-        if wi > 0.0:
-            rows[1:] += wi * rows[:-1]
-    return rows, math.log(wmax)
-
-
 def log_esym_table(w, smax: int) -> np.ndarray:
     """log R(s, w) for s = 0..smax via the add-one-item recurrence
     R(s, A) = R(s, A - {i}) + w_i * R(s-1, A - {i}); -inf where R = 0."""
@@ -76,10 +80,19 @@ def log_esym_table(w, smax: int) -> np.ndarray:
     smax = int(smax)
     if smax < 0:
         raise ValueError("smax must be >= 0")
-    rows, log_scale = _esym_rows(w, smax)
+    # in linear space with the weights normalized to max 1: the true R(s)
+    # is rows[s] * wmax ** s
+    rows = np.zeros(smax + 1)
+    rows[0] = 1.0
+    wmax = float(w.max()) if w.size else 0.0
+    if wmax > 0.0:
+        for wi in w / wmax:
+            if wi > 0.0:
+                rows[1:] += wi * rows[:-1]
     with np.errstate(divide="ignore"):
         out = np.log(rows)
-    out += log_scale * np.arange(smax + 1)
+    if wmax > 0.0:
+        out += math.log(wmax) * np.arange(smax + 1)
     return out
 
 
@@ -113,7 +126,7 @@ def cp_log_pmf(w, size: int, subset) -> float:
     return min(val, 0.0)
 
 
-def cp_draft_sample(w, size: int, rng: np.random.Generator) -> CPSample:
+def cp_draft_sample(w, size: int, rng) -> CPSample:
     """Draw one CP subset with the sequential procedure of Chen, Dempster &
     Liu (1994, Biometrika 81:457).
 
@@ -122,52 +135,64 @@ def cp_draft_sample(w, size: int, rng: np.random.Generator) -> CPSample:
     R(s, items j..), s being the units still needed, until s reaches 0.
     The subset is exactly CP(size, w) distributed, and log_prob, the
     closed-form pmf sum(log w_chosen) - log R(size, w), comes from the
-    same table.  Runs on plain lists: the vectors are short and the call
-    is hot, so one rng.random call is its only numpy work.
+    same table.  Runs on plain lists, as the vectors are short and the
+    call is hot: a list of weights is used as it is, anything else is
+    converted to floats.  Unless the subset is certain, it takes
+    rng.random(k), k the number of positive weights, from a numpy
+    Generator or a UniformBlocks.
     """
     try:
-        ws = [float(x) for x in w]
+        if type(w) is not list:
+            w = [float(x) for x in w]
+        negative = w and min(w) < 0.0
+        # zero-weight items can never be drawn; drop them, keep original ids
+        pos = [j for j, x in enumerate(w) if x > 0.0]
     except TypeError:
         raise ValueError("weights must be a flat vector") from None
     size = int(size)
-    if not (0 <= size <= len(ws)):
-        raise ValueError(f"size must be within 0..{len(ws)}, got {size}")
-    if ws and min(ws) < 0.0:
+    if not (0 <= size <= len(w)):
+        raise ValueError(f"size must be within 0..{len(w)}, got {size}")
+    if negative:
         raise ValueError("weights must be nonnegative")
-    # zero-weight items can never be drawn; drop them but keep original ids
-    pos = [j for j, x in enumerate(ws) if x > 0.0]
-    if len(pos) < size:
-        raise CPInfeasibleError(f"only {len(pos)} positive weights, need {size}")
+    k = len(pos)
+    if k < size:
+        raise CPInfeasibleError(f"only {k} positive weights, need {size}")
     if size == 0:
         return CPSample((), 0.0)
-    if size == len(pos):
+    if size == k:
         return CPSample(tuple(pos), 0.0)
 
-    wmax = max(ws)
-    ws = [ws[j] / wmax for j in pos]
-    k = len(ws)
+    wmax = max(w)
+    ws = [w[j] / wmax for j in pos]
     # back[j][t] = R(t, ws[j:]), weights normalized to max 1
     row = [1.0] + [0.0] * size
     back = [row] * (k + 1)
+    degrees = range(1, size + 1)
     for j in range(k - 1, -1, -1):
         wj = ws[j]
-        row = [1.0] + [row[t] + wj * row[t - 1] for t in range(1, size + 1)]
+        row = [1.0] + [row[t] + wj * row[t - 1] for t in degrees]
         back[j] = row
-    if not back[0][size] > 0.0:
+    r_all = row[size]
+    if not r_all > 0.0:
         raise CPInfeasibleError(f"R({size}, w) underflows to zero")
 
-    u = rng.random(k).tolist()
+    u = rng.random(k)
+    if type(u) is not list:
+        u = u.tolist()
     chosen: list[int] = []
     log_w = 0.0
     s = size
     for j in range(k):
         # once only s items remain, R(s, rest) == 0 exactly and the ratio
         # is exactly 1, so the pass always ends with s == 0
-        if u[j] * back[j][s] < ws[j] * back[j + 1][s - 1]:
+        after = back[j + 1]
+        wj = ws[j]
+        if u[j] * row[s] < wj * after[s - 1]:
             chosen.append(pos[j])
-            log_w += math.log(ws[j])
+            log_w += math.log(wj)
             s -= 1
             if s == 0:
                 break
+        row = after
     # float rounding can push a certain event a hair above probability 1
-    return CPSample(tuple(chosen), min(log_w - math.log(back[0][size]), 0.0))
+    return CPSample(tuple(chosen), min(log_w - math.log(r_all), 0.0))

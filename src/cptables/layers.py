@@ -13,20 +13,24 @@ cross margins:
 
 with rs/zs the ones and zeros still to place in the lines through the
 cell that cross the drawn line (two factors in a three-way table, one in a
-two-way table).  A crossing line that is saturated (zs_b == 0) makes
-the cell a certain inclusion: it is set to one with probability one before
-the conditional Poisson draw over the remaining cells, adding nothing to
-log q.  set_line hands a draw's cells to TableState.propagate, which
-places them and re-runs the structure rules on the residual problem (the
-saturation rule optionally masked per axis, see sis.py); cells they force
-are probability-1 events and also add nothing to log q.  The final line of
-a layer (and the final layer of a table) is therefore filled
+two-way table; the geometry lists them per cell of the line).  A crossing
+line that is saturated (zs_b == 0) makes the cell a certain inclusion: it
+is set to one with probability one before the conditional Poisson draw
+over the remaining cells, adding nothing to log q.  set_line hands a
+draw's cells to TableState.propagate: the certain and picked cells as its
+ones and every free cell of the line as its zeros (the ones are set by
+then, and propagate skips a cell that is set).  propagate places them and
+re-runs the structure rules on the residual problem (the saturation rule
+optionally masked per axis, see sis.py); cells they force are
+probability-1 events and also add nothing to log q.  The final line of a
+layer (and the final layer of a table) is therefore filled
 deterministically by propagation, and any residual mismatch surfaces as
 infeasibility, i.e. a rejection.  The classic proposal's layer-end pass
 is TableState.close_saturated.
 
-sis.py drives these steps with one random draw per line; expand.py
-branches over every admissible subset instead.
+sis.py drives these steps with one random draw per line, its uniforms
+taken in blocks from the proposal's own generator; expand.py branches
+over every admissible subset instead.
 """
 
 from __future__ import annotations
@@ -104,30 +108,29 @@ def line_weights(
     stays a proper distribution.  A crossing line with residual zero yields
     odds zero, which the CP handles natively (never chosen).  A cell pinned
     both ways (zero residual on one crossing line, saturation on the other)
-    is a dead end that the bound check after the draw surfaces."""
+    is a dead end that the bound check after the draw surfaces.
+
+    The products are exact ints and one true division rounds them, which
+    gives the bits of the same products taken in floats."""
     geo = state.geo
-    axis = geo.line_axis[lid]
     rs = state.rs
     zs = state.zs
     cells = state.cells
     free_cids: list[int] = []
     weights: list[float] = []
     certain: list[int] = []
-    for cid in geo.line_cells[lid]:
+    for cid, cross in geo.crossing[lid] or geo.crossings(lid):
         if cells[cid] >= 0:
             continue
-        num = 1.0
-        den = 1.0
-        for b, cross in enumerate(geo.cell_lines[cid]):
-            if b == axis:
-                continue
-            num *= rs[cross]
-            den *= zs[cross]
-        if den == 0.0 and num > 0.0:
+        num = den = 1
+        for b in cross:
+            num *= rs[b]
+            den *= zs[b]
+        if den == 0 and num > 0:
             certain.append(cid)
         else:
             free_cids.append(cid)
-            weights.append(num / den if den > 0.0 else 0.0)
+            weights.append(num / den if den > 0 else 0.0)
     return free_cids, weights, certain
 
 
@@ -136,11 +139,13 @@ def set_line(
 ) -> bool:
     """Set a line's certain cells to one, the free cells at the picked
     positions to one and the other free cells to zero, in one propagate
-    call.  Returns False when propagation finds a dead end."""
-    picked = set(picked)
-    ones = certain + [cid for pos, cid in enumerate(free_cids) if pos in picked]
-    zeros = [cid for pos, cid in enumerate(free_cids) if pos not in picked]
-    return state.propagate(deque(), nosat_axes, ones, zeros) < 0
+    call.  Returns False when propagation finds a dead end.
+
+    The ones go in as given: the certain cells, then the picked positions
+    in their order (ascending from every chooser).  The zeros are all of
+    free_cids, because propagate skips a cell that is already set."""
+    ones = certain + [free_cids[p] for p in picked]
+    return state.propagate(deque(), nosat_axes, ones, free_cids) < 0
 
 
 def draw_line(

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+import math
 
 import numpy as np
 
@@ -53,54 +54,54 @@ class _Geometry:
 
     Lines get flat ids: axis a's block starts at offset[a], ordered like the
     C-order flattening of the margin array over axis a (so the worklist seed
-    scans axes 0,1,2,... deterministically).  Shared across states of the
-    same shape.
+    scans axes 0,1,2,... deterministically).  line_cells lists a line's
+    cells, cell_lines a cell's d lines in axis order, and crossing, filled
+    per line on first use by crossings(), each cell of a line with the
+    other lines through it: the pairs line_weights loops over.  Shared
+    across states of the same shape.
     """
 
     __slots__ = ("sizes", "d", "ncells", "nlines", "offset", "line_cells",
-                 "cell_lines", "line_axis", "rs_code")
+                 "cell_lines", "crossing", "line_axis", "rs_code")
 
     def __init__(self, sizes: tuple[int, ...]):
         self.sizes = sizes
-        self.d = len(sizes)
-        ncells = 1
-        for s in sizes:
-            ncells *= s
-        self.ncells = ncells
-        self.offset = []
-        nlines = 0
-        for a in range(self.d):
-            self.offset.append(nlines)
-            nlines += ncells // sizes[a]
-        self.nlines = nlines
+        self.d = d = len(sizes)
+        self.ncells = ncells = math.prod(sizes)
         # array typecode wide enough for any residual: no line is longer
         # than the longest axis
         self.rs_code = "B" if max(sizes) < 256 else "I"
-        self.line_cells: list[list[int]] = [[] for _ in range(nlines)]
-        self.cell_lines: list[tuple[int, ...]] = []
-        self.line_axis: list[int] = [0] * nlines
-        strides = [0] * self.d
-        acc = 1
-        for a in range(self.d - 1, -1, -1):
-            strides[a] = acc
-            acc *= sizes[a]
-        for cid in range(ncells):
-            idx = []
-            rest = cid
-            for a in range(self.d):
-                idx.append(rest // strides[a])
-                rest %= strides[a]
-            lids = []
-            for a in range(self.d):
-                flat = 0
-                for b in range(self.d):
-                    if b != a:
-                        flat = flat * sizes[b] + idx[b]
-                lid = self.offset[a] + flat
-                lids.append(lid)
-                self.line_cells[lid].append(cid)
-                self.line_axis[lid] = a
-            self.cell_lines.append(tuple(lids))
+        self.offset: list[int] = []
+        self.line_cells: list[list[int]] = []
+        self.line_axis: list[int] = []
+        cids = np.arange(ncells).reshape(sizes)
+        lines = np.empty(sizes + (d,), dtype=np.int64)
+        for a in range(d):
+            # axis a's lines in the C order of the other axes, each one's
+            # cells in id order; every cell learns its axis-a line
+            lo = len(self.line_cells)
+            along = np.moveaxis(cids, a, -1)
+            self.offset.append(lo)
+            self.line_cells += along.reshape(-1, sizes[a]).tolist()
+            self.line_axis += [a] * (ncells // sizes[a])
+            np.moveaxis(lines[..., a], a, -1)[...] = (
+                lo + np.arange(ncells // sizes[a])).reshape(along.shape[:-1] + (1,))
+        self.nlines = len(self.line_cells)
+        self.cell_lines: list[tuple[int, ...]] = list(
+            map(tuple, lines.reshape(ncells, d).tolist()))
+        self.crossing: list[list[tuple] | None] = [None] * self.nlines
+
+    def crossings(self, lid: int) -> list[tuple[int, tuple[int, ...]]]:
+        """Each cell of a line with the lines that cross it there (the
+        cell's other d - 1 lines, in axis order).  Built on first use:
+        only the lines that get drawn need it."""
+        a = self.line_axis[lid]
+        cell_lines = self.cell_lines
+        cross = self.crossing[lid] = [
+            (cid, cell_lines[cid][:a] + cell_lines[cid][a + 1:])
+            for cid in self.line_cells[lid]
+        ]
+        return cross
 
 
 _GEOMETRY_CACHE: dict[tuple[int, ...], _Geometry] = {}

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpdist import cp_draft_sample
+from .cpdist import UniformBlocks, cp_draft_sample
 from .layers import SampleRejected, next_layer, sample_layer
 from .reduction import TableState
 from .tables import (
@@ -111,9 +111,13 @@ class SisConfig:
 
 
 def _rng_chooser(rng: np.random.Generator):
+    """One CP draw per line, its uniforms taken from rng in blocks.  A
+    proposal's generator serves that proposal alone, so the blocks give the
+    bits of one rng.random call per draw."""
+    uniforms = UniformBlocks(rng)
+
     def choose(weights, size):
-        s = cp_draft_sample(weights, size, rng)
-        return s.chosen, s.log_prob
+        return cp_draft_sample(weights, size, uniforms)
     return choose
 
 
@@ -187,7 +191,8 @@ def sample_table3(
 ) -> SampleOutcome:
     """Draw one proposal for a three-way table, layer by layer.  A run
     passes its prepared start (which then fixes the layer axis); a direct
-    call prepares one."""
+    call prepares one.  The draws take rng's uniforms in blocks, so rng
+    ends up to a block past the last uniform they use."""
     if _start is None:
         validate_marginals(m)
         if m.dims.d != 3:

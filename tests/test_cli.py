@@ -310,3 +310,17 @@ def test_out_of_range_option_exits_two_without_traceback():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "error: --samples must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["estimate", "semimagic-1-1"], "error: input 'semimagic-1-1' is not a file; "),
+    (["fixtures", "show", "semimagic-1-1"], "error: bad semimagic fixture name"),
+], ids=" ".join)
+def test_bad_fixture_name_reports_the_reason(capsys, argv, prefix):
+    # no file was read, so no line number; the message is the fixture's
+    # reason, printed as text rather than as a KeyError's repr
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert "cube side must be >= 2" in err
+    assert "line 1" not in err and '"' not in err

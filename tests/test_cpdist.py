@@ -170,3 +170,39 @@ def test_cp_distribution_demo_runs():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("bad", [
+    [1.0, -0.5, 2.0],
+    np.array([1.0, -0.5, 2.0]),
+    (1.0, -0.5, 2.0),
+    [[1.0], [2.0]],
+    [[1.0, 2.0]],
+    np.ones((2, 2)),
+], ids=["negative-list", "negative-array", "negative-tuple", "nested-list",
+        "nested-row", "matrix"])
+def test_draft_sample_rejects_bad_weights_of_every_input_type(bad):
+    with pytest.raises(ValueError):
+        cp_draft_sample(bad, 1, np.random.default_rng(0))
+
+
+def test_draft_sample_gives_the_same_draw_for_every_input_type():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        w = random_weights(rng, int(rng.integers(1, 10)), zero_frac=0.3)
+        size = int(rng.integers(0, np.count_nonzero(w) + 1))
+        seed = int(rng.integers(2**32))
+        forms = [w.tolist(), tuple(w.tolist()), w]
+        draws = [cp_draft_sample(f, size, np.random.default_rng(seed))
+                 for f in forms]
+        assert all(d == draws[0] for d in draws)
+        assert [type(x) for x in draws[0].chosen] == [int] * size
+        s = draws[0]
+        assert s.chosen == s[0] and s.log_prob == s[1]
+        assert math.isclose(s.log_prob, cp_log_pmf(w, size, s.chosen),
+                            rel_tol=1e-12, abs_tol=1e-12)
+    # a list of ints is used as it is, and draws as its floats do
+    ints, floats = [3, 0, 1, 2, 5], [3.0, 0.0, 1.0, 2.0, 5.0]
+    for seed in range(20):
+        assert (cp_draft_sample(ints, 2, np.random.default_rng(seed))
+                == cp_draft_sample(floats, 2, np.random.default_rng(seed)))

@@ -231,3 +231,55 @@ def test_sample_layer_accumulates_log_q_and_fills_layer():
     assert np.all(layer >= 0)
     assert np.array_equal(layer.sum(axis=1), [1, 1, 1])
     assert np.array_equal(layer.sum(axis=0), [1, 1, 1])
+
+
+def _reference_line_weights(state, lid):
+    """line_weights as the per-cell float-product loop over each cell's d
+    lines, skipping the drawn line's own axis."""
+    geo = state.geo
+    axis = geo.line_axis[lid]
+    free_cids, weights, certain = [], [], []
+    for cid in geo.line_cells[lid]:
+        if state.cells[cid] >= 0:
+            continue
+        num = 1.0
+        den = 1.0
+        for b, cross in enumerate(geo.cell_lines[cid]):
+            if b == axis:
+                continue
+            num *= state.rs[cross]
+            den *= state.zs[cross]
+        if den == 0.0 and num > 0.0:
+            certain.append(cid)
+        else:
+            free_cids.append(cid)
+            weights.append(num / den if den > 0.0 else 0.0)
+    return free_cids, weights, certain
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (4, 5, 6), (3, 3, 4, 3)])
+def test_line_weights_matches_the_float_product_reference(shape):
+    # random partial fillings of random tables, cells set directly (no
+    # forcing rules), so lines with no ones left or no zeros left cross
+    # lines that still have free cells; every line of every axis is checked
+    rng = np.random.default_rng(len(shape))
+    seen = {"certain": 0, "zero": 0, "odds": 0}
+    for _ in range(40):
+        truth = (rng.random(shape) < rng.uniform(0.2, 0.8)).astype(int)
+        state = _state_of(truth)
+        reveal = rng.random(truth.size) < rng.uniform(0.2, 0.8)
+        for cid in np.flatnonzero(reveal).tolist():
+            v = int(truth.flat[cid])
+            state.cells[cid] = v
+            for lid in state.geo.cell_lines[cid]:
+                (state.rs if v else state.zs)[lid] -= 1
+        for lid in range(state.geo.nlines):
+            free_cids, weights, certain = line_weights(state, lid)
+            ref_free, ref_weights, ref_certain = _reference_line_weights(state, lid)
+            assert free_cids == ref_free and certain == ref_certain
+            assert all(type(w) is float for w in weights)
+            assert [w.hex() for w in weights] == [w.hex() for w in ref_weights]
+            seen["certain"] += len(certain)
+            seen["zero"] += weights.count(0.0)
+            seen["odds"] += len(weights) - weights.count(0.0)
+    assert min(seen.values()) > 0, seen

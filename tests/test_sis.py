@@ -26,6 +26,7 @@ from cptables import (
     sample_table_d,
     semimagic_margins,
 )
+from cptables.cpdist import UniformBlocks, cp_draft_sample
 from cptables.estimator import estimate_log_count
 from cptables.sis import PROPOSALS, _per_sample_rng, _rng_chooser
 
@@ -340,3 +341,80 @@ def test_prepared_start_is_worker_count_invariant(name, axis):
     two = run_sis(m, SisConfig(60, 6, layer_axis=axis, workers=2))
     assert not np.all(np.isfinite(one))  # rejections included
     assert one.tobytes() == two.tobytes()
+
+
+def test_generator_calls_concatenate_and_blocks_keep_the_stream():
+    # random(a) then random(b) gives the bits of one random(a + b): what
+    # lets a proposal take its uniforms in blocks
+    for index in range(5):
+        whole = _per_sample_rng(3, index).random(40)
+        rng = _per_sample_rng(3, index)
+        parts = np.concatenate([rng.random(k) for k in (7, 0, 13, 1, 19)])
+        assert parts.tobytes() == whole.tobytes()
+    # the same through UniformBlocks (blocks of 64), with requests that
+    # straddle a refill, end a block exactly and exceed a whole block
+    sizes = [3, 7, 50, 0, 1, 7, 60, 5, 100, 4, 23, 64, 9]
+    for index in range(5):
+        ref = _per_sample_rng(9, index)
+        blocks = UniformBlocks(_per_sample_rng(9, index))
+        for k in sizes:
+            got = blocks.random(k)
+            assert type(got) is list and len(got) == k
+            assert np.array(got).tobytes() == ref.random(k).tobytes()
+
+
+def _survey_margins(seed, actors=9, relations=4, picks=2):
+    """A sociometric-survey-shaped input: every actor nominates `picks`
+    others per relation, nobody nominates themselves."""
+    rng = np.random.default_rng(seed)
+    cells = np.zeros((actors, actors, relations), dtype=int)
+    for r in range(relations):
+        for i in range(actors):
+            others = [j for j in range(actors) if j != i]
+            for p in rng.choice(len(others), size=picks, replace=False):
+                cells[i, others[p], r] = 1
+    return marginals_of(BinaryTable.from_array(cells))
+
+
+@pytest.mark.parametrize("name", ["semimagic-7-3", "survey"])
+def test_block_chooser_matches_a_fresh_generator_call_per_line(name):
+    m = _survey_margins(4) if name == "survey" else fixture(name)
+    for proposal in PROPOSALS:
+        for i in range(50):
+            rng = _per_sample_rng(13, i)
+
+            def per_line(weights, size):
+                return cp_draft_sample(weights, size, rng)
+
+            want = sample_table3(m, proposal=proposal, _choose=per_line)
+            got = sample_table3(m, _per_sample_rng(13, i), proposal=proposal)
+            assert got.accepted == want.accepted
+            assert got.reject_stage == want.reject_stage
+            if want.accepted:
+                assert got.log_q.hex() == want.log_q.hex()
+                assert got.table.cells.tobytes() == want.table.cells.tobytes()
+
+
+def test_a_proposal_calls_the_traced_draw_and_line_weights(monkeypatch):
+    # the benchmark's tracer wraps cpdist.cp_draft_sample and
+    # layers.line_weights by name, in every cptables namespace that binds
+    # them; a proposal must still reach both through those names
+    import cptables.cpdist
+    import cptables.layers
+
+    calls = {}
+    for fn in (cptables.cpdist.cp_draft_sample, cptables.layers.line_weights):
+        calls[fn.__name__] = 0
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname == "cptables" or modname.startswith("cptables."):
+                for key, val in list(vars(mod).items()):
+                    if val is fn:
+                        monkeypatch.setattr(mod, key, counted)
+    out = sample_table3(fixture("semimagic-4-1"), _per_sample_rng(0, 0))
+    assert out.accepted
+    assert calls["cp_draft_sample"] == calls["line_weights"] > 0
