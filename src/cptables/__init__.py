@@ -10,7 +10,6 @@ scale for validation.
 
 from .cpdist import (
     CPInfeasibleError,
-    CPSample,
     cp_draft_sample,
     cp_log_pmf,
     log_esym,
@@ -24,7 +23,6 @@ from .estimator import (
     estimate_log_count,
     estimate_table_count,
     format_count_from_log,
-    percentile_nearest_rank,
     summarize,
 )
 from .expand import PathExpansion, expand_paths
@@ -39,7 +37,7 @@ from .marginfile import (
 )
 from .oracle import EnumerationBudgetError, exact_count, exact_enumerate
 from .reduction import TableState
-from .sis import SisConfig, draw_accepted_tables, run_sis, sample_table3, sample_table_d
+from .sis import SisConfig, draw_accepted_tables, run_sis, sample_table
 from .tables import (
     BinaryTable,
     CPTablesError,
@@ -61,7 +59,6 @@ __all__ = [
     "BinaryTable",
     "BootstrapCI",
     "CPInfeasibleError",
-    "CPSample",
     "CPTablesError",
     "Dims",
     "EnumerationBudgetError",
@@ -99,12 +96,10 @@ __all__ = [
     "parse_marginal_text",
     "parse_ucinet_dl",
     "parse_ucinet_dl_text",
-    "percentile_nearest_rank",
     "permute_marginal_axes",
     "run_sis",
     "sample_layer",
-    "sample_table3",
-    "sample_table_d",
+    "sample_table",
     "semimagic_margins",
     "summarize",
     "validate_marginals",

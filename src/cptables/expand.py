@@ -1,6 +1,6 @@
 """Exhaustive expansion of a proposal's decision tree on small problems.
 
-The samplers in sis.py draw one random trajectory; here the same walk
+The sampler in sis.py draws one random trajectory; here the same walk
 (the steps in layers.py, from the same prepared start, for any d) splits
 every conditional Poisson draw into one branch per admissible subset of
 the line's free cells, weighted by the exact CP probability.  Leaves are
@@ -107,8 +107,8 @@ def expand_paths(
     proposal: str = "classic",
     max_leaves: int = 2_000_000,
 ) -> PathExpansion:
-    """Expand every trajectory of the proposal that sample_table_d draws
-    from (sample_table3 for three-way input, with its layer axis)."""
+    """Expand every trajectory of the proposal that sample_table draws
+    from with the same layer axis and preset."""
     validate_marginals(m)
     nosat = _masked_axes(proposal, m.dims.d)
     start = _prepare(m, layer_axis)

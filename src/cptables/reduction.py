@@ -15,7 +15,7 @@ mid-sampling (`nosat_axes`): a line with zs == 0 and rs >= 2 then stays
 open, and the sampler resolves its cells at draw time as certain
 inclusions (see sis.py for the proposal presets built on this); at rs == 1
 it is filled all the same.  The same propagation engine drives the SIS
-samplers (re-reduction after every sampled column), the exact enumerator,
+sampler (re-reduction after every sampled column), the exact enumerator,
 and the path expander (both via an undo trail), so it is written as a
 worklist over flat line ids rather than array scans.
 
@@ -118,8 +118,10 @@ class TableState:
     """Mutable partial assignment: cell values (-1 free, 0, 1) and, per
     line, the ones still to place (rs) and the zeros still to place (zs).
 
-    set_cell and propagate record every placement on an undo trail so the
-    exact enumerator can backtrack; the samplers simply never rewind.
+    set_cell and propagate record every placement on an undo trail, which
+    the exact counter, the exact enumerator and the path expander rewind
+    with undo_to to backtrack.  The sampler never rewinds: a dead end
+    rejects the whole proposal.
     """
 
     __slots__ = ("geo", "cells", "rs", "zs", "trail")

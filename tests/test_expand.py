@@ -1,6 +1,6 @@
 import gc
 import hashlib
-from itertools import combinations
+from itertools import combinations, product
 import math
 
 import numpy as np
@@ -15,8 +15,7 @@ from cptables import (
     fixture,
     marginals3,
     marginals_of,
-    sample_table3,
-    sample_table_d,
+    sample_table,
     semimagic_margins,
 )
 from cptables.oracle import EnumerationBudgetError
@@ -85,11 +84,13 @@ def _four_way():
 
 def test_sampler_log_q_agrees_with_expansion():
     for m in (fixture("ex5_2"), fixture("ex5_9"), _two_way(), _four_way()):
-        for proposal in PROPOSALS:
-            px = expand_paths(m, proposal=proposal)
+        for axis, proposal in product(range(3) if m.dims.d == 3 else (0,),
+                                      PROPOSALS):
+            px = expand_paths(m, layer_axis=axis, proposal=proposal)
             seen = 0
             for i in range(200):
-                out = sample_table_d(m, _per_sample_rng(7, i), proposal=proposal)
+                out = sample_table(m, _per_sample_rng(7, i), layer_axis=axis,
+                                   proposal=proposal)
                 if not out.accepted:
                     continue
                 q = px.tables[out.table.cells.tobytes()]
@@ -102,7 +103,7 @@ def test_monte_carlo_acceptance_matches_exact_mass():
     m = fixture("ex5_9")
     exact = expand_paths(m).acceptance
     n = 2000
-    hits = sum(sample_table3(m, _per_sample_rng(3, i)).accepted for i in range(n))
+    hits = sum(sample_table(m, _per_sample_rng(3, i)).accepted for i in range(n))
     se = math.sqrt(exact * (1.0 - exact) / n)
     assert abs(hits / n - exact) < 4.0 * se
 

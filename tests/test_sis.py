@@ -22,8 +22,7 @@ from cptables import (
     marginals_of,
     marginals3,
     run_sis,
-    sample_table3,
-    sample_table_d,
+    sample_table,
     semimagic_margins,
 )
 from cptables.cpdist import UniformBlocks, cp_draft_sample
@@ -78,10 +77,10 @@ def test_per_sample_streams_are_independent_of_position():
     assert np.array_equal(g1, g2)
 
 
-def test_sample_table3_accepts_valid_tables():
+def test_sample_table_accepts_valid_tables():
     m = fixture("ex5_2")
     for proposal in PROPOSALS:
-        out = sample_table3(m, _per_sample_rng(0, 0), proposal=proposal)
+        out = sample_table(m, _per_sample_rng(0, 0), proposal=proposal)
         assert out.accepted
         got = marginals_of(out.table)
         for a in range(3):
@@ -89,15 +88,24 @@ def test_sample_table3_accepts_valid_tables():
         assert out.log_q <= 0.0
 
 
-def test_sample_table3_validates_input():
+def test_sample_table_validates_input():
     rng = _per_sample_rng(0, 0)
     with pytest.raises(ValueError):
-        sample_table3(fixture("ex5_2"), rng, layer_axis=3)
+        sample_table(fixture("ex5_2"), rng, layer_axis=3)
     with pytest.raises(ValueError):
-        sample_table3(fixture("ex5_2"), rng, proposal="nope")
-    four_way = marginals_of(BinaryTable.from_array(np.ones((2, 2, 2, 2), dtype=int)))
-    with pytest.raises(ValueError):
-        sample_table3(four_way, rng)
+        sample_table(fixture("ex5_2"), rng, proposal="nope")
+    # a table with d != 3 is one layer whatever the layer axis, as in
+    # expand_paths and the command line
+    two_way = marginals_of(BinaryTable.from_array(np.eye(3, dtype=int)))
+    four_way = _multiway_margins("four-way-4-2")
+    for m in (two_way, four_way):
+        want = sample_table(m, _per_sample_rng(0, 1))
+        got = sample_table(m, _per_sample_rng(0, 1), layer_axis=5)
+        assert got.accepted == want.accepted
+        assert got.reject_stage == want.reject_stage
+        if want.accepted:
+            assert got.log_q.hex() == want.log_q.hex()
+            assert got.table.cells.tobytes() == want.table.cells.tobytes()
 
 
 def test_layer_axis_choices_stay_unbiased():
@@ -109,7 +117,7 @@ def test_layer_axis_choices_stay_unbiased():
         est = math.exp(estimate_log_count(lw))
         assert abs(est - 5.0) / 5.0 < 0.05
         for i in np.flatnonzero(np.isfinite(lw))[:5]:
-            out = sample_table3(m, _per_sample_rng(21, int(i)), layer_axis=axis)
+            out = sample_table(m, _per_sample_rng(21, int(i)), layer_axis=axis)
             got = marginals_of(out.table)
             for a in range(3):
                 assert np.array_equal(got.margins[a], m.margins[a])
@@ -137,13 +145,13 @@ def test_proposals_agree_on_the_estimate():
     assert abs(est["guided"] - 12.0) / 12.0 < 0.06
 
 
-def test_sample_table_d_general_engine():
+def test_sample_table_general_engine():
     rng = np.random.default_rng(0)
     cells = (rng.random((2, 2, 2, 3)) < 0.5).astype(int)
     m = marginals_of(BinaryTable.from_array(cells))
     truth = exact_count(m)
     assert truth >= 1
-    outs = [sample_table_d(m, _per_sample_rng(5, i)) for i in range(3000)]
+    outs = [sample_table(m, _per_sample_rng(5, i)) for i in range(3000)]
     for out in outs[:5]:
         if out.accepted:
             got = marginals_of(out.table)
@@ -154,12 +162,12 @@ def test_sample_table_d_general_engine():
     assert abs(est - truth) / truth < 0.1
 
 
-def test_sample_table_d_covers_two_way_tables():
+def test_sample_table_covers_two_way_tables():
     rows = np.array([2, 1, 2])
     cols = np.array([1, 2, 2])
     m2 = MarginalSet(Dims((3, 3)), (cols, rows))
     truth = exact_count(m2)
-    outs = [sample_table_d(m2, _per_sample_rng(1, i)) for i in range(4000)]
+    outs = [sample_table(m2, _per_sample_rng(1, i)) for i in range(4000)]
     lw = np.array([-o.log_q if o.accepted else -np.inf for o in outs])
     est = math.exp(estimate_log_count(lw))
     assert abs(est - truth) / truth < 0.1
@@ -170,7 +178,7 @@ def test_infeasible_margins_reject_every_proposal():
     sj = [[1, 1], [1, 1]]
     sk = [[2, 0], [0, 2]]
     m = marginals3(si, sj, sk)
-    out = sample_table3(m, _per_sample_rng(0, 0))
+    out = sample_table(m, _per_sample_rng(0, 0))
     assert not out.accepted
     assert out.reject_stage == "initial-reduction"
     lw = run_sis(m, SisConfig(samples=20, seed=0))
@@ -242,10 +250,10 @@ def test_log_q_overshoot_is_clamped_only_within_tolerance():
             return chosen, per_draw
         return choose
 
-    out = sample_table3(m, proposal="guided", _choose=overshooting(1e-15))
+    out = sample_table(m, proposal="guided", _choose=overshooting(1e-15))
     assert out.accepted and out.log_q == 0.0
     with pytest.raises(InvariantError, match="above 1"):
-        sample_table3(m, proposal="guided", _choose=overshooting(1e-6))
+        sample_table(m, proposal="guided", _choose=overshooting(1e-6))
 
 
 # sha256 digests recorded from the sampler before the start state was
@@ -386,8 +394,8 @@ def test_block_chooser_matches_a_fresh_generator_call_per_line(name):
             def per_line(weights, size):
                 return cp_draft_sample(weights, size, rng)
 
-            want = sample_table3(m, proposal=proposal, _choose=per_line)
-            got = sample_table3(m, _per_sample_rng(13, i), proposal=proposal)
+            want = sample_table(m, proposal=proposal, _choose=per_line)
+            got = sample_table(m, _per_sample_rng(13, i), proposal=proposal)
             assert got.accepted == want.accepted
             assert got.reject_stage == want.reject_stage
             if want.accepted:
@@ -415,6 +423,6 @@ def test_a_proposal_calls_the_traced_draw_and_line_weights(monkeypatch):
                 for key, val in list(vars(mod).items()):
                     if val is fn:
                         monkeypatch.setattr(mod, key, counted)
-    out = sample_table3(fixture("semimagic-4-1"), _per_sample_rng(0, 0))
+    out = sample_table(fixture("semimagic-4-1"), _per_sample_rng(0, 0))
     assert out.accepted
     assert calls["cp_draft_sample"] == calls["line_weights"] > 0
