@@ -132,6 +132,7 @@ def _cmd_estimate(args) -> int:
         "alpha": report.alpha,
         "bootstrap_b": report.bootstrap_b,
         "proposal": args.proposal,
+        "layer_axis": args.layer_axis,
         "seed": args.seed,
         "runtime_ms": runtime_ms,
     }

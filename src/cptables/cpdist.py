@@ -12,10 +12,12 @@ products.  Everything here works from the weights:
   * the sequential sampler of Chen, Dempster & Liu (1994, Biometrika
     81:457), which makes one pass over the items, including item j with
     probability w_j * R(s-1, items after j) / R(s, items from j), and
-    lands exactly on the CP distribution.  Its log-pmf comes from the same
-    backward R table.  It takes one uniform per positive weight, from a
-    numpy Generator or from UniformBlocks, which hands out a generator's
-    uniforms a block at a time with the same bits.
+    lands exactly on the CP distribution.  Its backward R table is built
+    one degree at a time, each column one running sum over the reversed
+    weights, and its log-pmf comes from the same table.  It takes one
+    uniform per positive weight, from a numpy Generator or from
+    UniformBlocks, which hands out a generator's uniforms a block at a
+    time with the same bits.
 
 Weights of zero are allowed in the vectors (such items are simply never
 selected).  Dynamic range is handled by normalizing weights to max 1 inside
@@ -24,7 +26,9 @@ the linear recurrences and carrying exact log corrections.
 
 from __future__ import annotations
 
+from itertools import accumulate
 import math
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -130,11 +134,15 @@ def cp_draft_sample(w, size: int, rng) -> CPSample:
     """Draw one CP subset with the sequential procedure of Chen, Dempster &
     Liu (1994, Biometrika 81:457).
 
-    One backward pass builds R(t, items j..) for t <= size; one forward pass
-    then includes item j with probability w_j * R(s-1, items j+1..) /
-    R(s, items j..), s being the units still needed, until s reaches 0.
-    The subset is exactly CP(size, w) distributed, and log_prob, the
-    closed-form pmf sum(log w_chosen) - log R(size, w), comes from the
+    A backward table holds R(t, items j..) for t <= size, one column per
+    degree t: over the weights in reverse, R(t, n + 1 items) = R(t, n) +
+    w * R(t - 1, n) makes each column one running sum of products with the
+    column before (the products and sums, in their order, that a row per
+    item would take).  One forward pass then includes item j with
+    probability w_j * R(s-1, items j+1..) / R(s, items j..), s being the
+    units still needed, until s reaches 0; it reads two columns, s and
+    s - 1.  The subset is exactly CP(size, w) distributed, and log_prob,
+    the closed-form pmf sum(log w_chosen) - log R(size, w), comes from the
     same table.  Runs on plain lists, as the vectors are short and the
     call is hot: a list of weights is used as it is, anything else is
     converted to floats.  Unless the subset is certain, it takes
@@ -144,9 +152,9 @@ def cp_draft_sample(w, size: int, rng) -> CPSample:
     try:
         if type(w) is not list:
             w = [float(x) for x in w]
-        negative = w and min(w) < 0.0
         # zero-weight items can never be drawn; drop them, keep original ids
         pos = [j for j, x in enumerate(w) if x > 0.0]
+        negative = len(pos) < len(w) and min(w) < 0.0
     except TypeError:
         raise ValueError("weights must be a flat vector") from None
     size = int(size)
@@ -163,16 +171,17 @@ def cp_draft_sample(w, size: int, rng) -> CPSample:
         return CPSample(tuple(pos), 0.0)
 
     wmax = max(w)
-    ws = [w[j] / wmax for j in pos]
-    # back[j][t] = R(t, ws[j:]), weights normalized to max 1
-    row = [1.0] + [0.0] * size
-    back = [row] * (k + 1)
-    degrees = range(1, size + 1)
-    for j in range(k - 1, -1, -1):
-        wj = ws[j]
-        row = [1.0] + [row[t] + wj * row[t - 1] for t in degrees]
-        back[j] = row
-    r_all = row[size]
+    if k < len(w):
+        w = [w[j] for j in pos]
+    # the positive weights normalized to max 1, last item first;
+    # cols[t][n] = R(t, the last n items)
+    rev = [x / wmax for x in reversed(w)]
+    col = [1.0] * (k + 1)
+    cols = [col]
+    for _ in range(size):
+        col = list(accumulate(map(mul, rev, col), initial=0.0))
+        cols.append(col)
+    r_all = col[k]
     if not r_all > 0.0:
         raise CPInfeasibleError(f"R({size}, w) underflows to zero")
 
@@ -182,17 +191,20 @@ def cp_draft_sample(w, size: int, rng) -> CPSample:
     chosen: list[int] = []
     log_w = 0.0
     s = size
+    lower = cols[s - 1]
+    n = k
     for j in range(k):
         # once only s items remain, R(s, rest) == 0 exactly and the ratio
         # is exactly 1, so the pass always ends with s == 0
-        after = back[j + 1]
-        wj = ws[j]
-        if u[j] * row[s] < wj * after[s - 1]:
+        n -= 1  # the items after item j
+        wj = rev[n]
+        if u[j] * col[n + 1] < wj * lower[n]:
             chosen.append(pos[j])
             log_w += math.log(wj)
             s -= 1
             if s == 0:
                 break
-        row = after
+            col = lower
+            lower = cols[s - 1]
     # float rounding can push a certain event a hair above probability 1
     return CPSample(tuple(chosen), min(log_w - math.log(r_all), 0.0))

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 _BOOTSTRAP_STREAM = 1 << 40  # spawn key; never collides with sample indices
-# replications resampled per numpy call: at most 256, and at most 2**13
-# drawn entries (64 KB per float array), so blocking adds no peak memory
+# replications resampled per numpy call: at most 256, and at most 2**14
+# drawn entries (128 KB per float array), so blocking adds little peak memory
 _BOOTSTRAP_BLOCK_ROWS = 256
-_BOOTSTRAP_BLOCK_CELLS = 1 << 13
+_BOOTSTRAP_BLOCK_CELLS = 1 << 14
 
 
 def _logsumexp_tail(a: np.ndarray, top: np.ndarray, z: np.ndarray) -> np.ndarray:

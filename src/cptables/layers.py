@@ -152,17 +152,18 @@ def draw_line(
     state: TableState, lid: int, choose, stage: str, nosat_axes=()
 ) -> float:
     """Fill one line with a CP draw over its free cells; propagate; return
-    the draw's log probability.  Raises SampleRejected on a dead end."""
+    the draw's log probability.  Raises SampleRejected on a dead end, its
+    stage being `stage`, the line id and the kind of failure."""
     free_cids, weights, certain = line_weights(state, lid)
     size = state.rs[lid] - len(certain)
     if size < 0 or size > len(free_cids):
-        raise SampleRejected(f"{stage} overcommitted")
+        raise SampleRejected(f"{stage} line={lid} overcommitted")
     try:
         positions, log_prob = choose(weights, size)
     except CPInfeasibleError:
-        raise SampleRejected(f"{stage} cp-infeasible") from None
+        raise SampleRejected(f"{stage} line={lid} cp-infeasible") from None
     if not set_line(state, free_cids, certain, positions, nosat_axes):
-        raise SampleRejected(stage)
+        raise SampleRejected(f"{stage} line={lid}")
     return log_prob
 
 
@@ -176,10 +177,9 @@ def sample_layer(
     SampleRejected when a draw leads to an infeasible residual problem.
     """
     log_q = 0.0
+    stage = f"layer={layer}"
     while True:
         lid = next_line(state, layer)
         if lid < 0:
             return log_q
-        log_q += draw_line(
-            state, lid, choose, f"layer={layer} line={lid}", nosat_axes
-        )
+        log_q += draw_line(state, lid, choose, stage, nosat_axes)

@@ -220,9 +220,9 @@ class TableState:
         can fire until one of its cells is set, which queues it, and the
         forcing rules are monotone, so the cells and the verdict are those
         of initial_reduce()."""
+        rs = self.rs
         return self.propagate(deque([
-            lid for lid, r, z in zip(range(self.geo.nlines), self.rs, self.zs)
-            if r and not z
+            lid for lid, z in enumerate(self.zs) if not z and rs[lid]
         ]))
 
     def copy(self) -> "TableState":

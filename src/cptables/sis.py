@@ -137,8 +137,8 @@ def _finish(m: MarginalSet, state: TableState, log_q: float) -> SampleOutcome:
     except ValueError:
         raise InvariantError("sampled table has a cell outside {0, 1}") from None
     cells = table.cells
-    for a, want in enumerate(m.margins):
-        if not (cells.sum(axis=a) == want).all():
+    for a, want in enumerate(m.margins):  # int64 in C order, as the sums
+        if cells.sum(axis=a, dtype=np.int64).tobytes() != want.tobytes():
             raise InvariantError(
                 f"sampled table violates the margin over axis {a}"
             )
@@ -196,16 +196,17 @@ def sample_table(
     in next_layer order, each followed by the layer-end pass when the
     preset masks an axis.  layer_axis picks a three-way table's layers;
     any other d is one layer of every line along the last axis (for d = 2
-    the column law reduces to r / (n - r)) and ignores it.  A run passes its prepared start (which then fixes
-    the layer axis); a direct call prepares one.  The draws take rng's
-    uniforms in blocks, so rng ends up to a block past the last uniform
-    they use."""
+    the column law reduces to r / (n - r)) and ignores it.  A run passes
+    its prepared start (which then fixes the layer axis); a direct call
+    prepares one.  The draws take rng's uniforms in blocks, so rng ends up
+    to a block past the last uniform they use; with neither rng nor a
+    chooser, they draw from a fresh np.random.default_rng()."""
     if _start is None:
         validate_marginals(m)
         _start = _prepare(m, layer_axis)
     nosat = _masked_axes(proposal, m.dims.d)
     if _choose is None:
-        _choose = _rng_chooser(rng)
+        _choose = _rng_chooser(np.random.default_rng() if rng is None else rng)
     try:
         state = _start.fresh()
         log_q = 0.0

@@ -87,6 +87,18 @@ def test_estimate_from_marginal_file_and_options(capsys, tmp_path):
     assert rec["accepted"] == 200
 
 
+def test_estimate_record_carries_the_layer_axis(capsys):
+    # the axis changes every weight, so the record must name it to be
+    # reproducible from itself
+    for axis in (0, 2):
+        rc = main(["estimate", "ex5_9", "--samples", "50", "--seed", "4",
+                   "--layer-axis", str(axis)])
+        rec = _last_json(capsys.readouterr().out)
+        assert rc == 0
+        assert rec["layer_axis"] == axis
+        assert rec["seed"] == 4 and rec["proposal"] == "classic"
+
+
 def test_estimate_all_rejections_exits_infeasible(capsys, tmp_path):
     path = tmp_path / "impossible.margins"
     path.write_text(INFEASIBLE_TEXT)

@@ -15,6 +15,7 @@ from cptables import (
     log_esym,
     log_esym_table,
 )
+from cptables.cpdist import UniformBlocks
 
 
 def brute_esym(w, s):
@@ -206,3 +207,98 @@ def test_draft_sample_gives_the_same_draw_for_every_input_type():
     for seed in range(20):
         assert (cp_draft_sample(ints, 2, np.random.default_rng(seed))
                 == cp_draft_sample(floats, 2, np.random.default_rng(seed)))
+
+
+def _row_table_draft_sample(w, size, rng):
+    """cp_draft_sample as it was when it built its backward R table one
+    row per item (one list comprehension over the degrees each); kept as
+    the bit-for-bit reference of the column-wise table."""
+    try:
+        if type(w) is not list:
+            w = [float(x) for x in w]
+        negative = w and min(w) < 0.0
+        pos = [j for j, x in enumerate(w) if x > 0.0]
+    except TypeError:
+        raise ValueError("weights must be a flat vector") from None
+    size = int(size)
+    if not (0 <= size <= len(w)):
+        raise ValueError(f"size must be within 0..{len(w)}, got {size}")
+    if negative:
+        raise ValueError("weights must be nonnegative")
+    k = len(pos)
+    if k < size:
+        raise CPInfeasibleError(f"only {k} positive weights, need {size}")
+    if size == 0:
+        return (), 0.0
+    if size == k:
+        return tuple(pos), 0.0
+
+    wmax = max(w)
+    ws = [w[j] / wmax for j in pos]
+    row = [1.0] + [0.0] * size
+    back = [row] * (k + 1)
+    degrees = range(1, size + 1)
+    for j in range(k - 1, -1, -1):
+        wj = ws[j]
+        row = [1.0] + [row[t] + wj * row[t - 1] for t in degrees]
+        back[j] = row
+    r_all = row[size]
+    if not r_all > 0.0:
+        raise CPInfeasibleError(f"R({size}, w) underflows to zero")
+
+    u = rng.random(k)
+    if type(u) is not list:
+        u = u.tolist()
+    chosen = []
+    log_w = 0.0
+    s = size
+    for j in range(k):
+        after = back[j + 1]
+        wj = ws[j]
+        if u[j] * row[s] < wj * after[s - 1]:
+            chosen.append(pos[j])
+            log_w += math.log(wj)
+            s -= 1
+            if s == 0:
+                break
+        row = after
+    return tuple(chosen), min(log_w - math.log(r_all), 0.0)
+
+
+def _outcome(draw, w, size, rng):
+    try:
+        chosen, log_prob = draw(w, size, rng)
+    except Exception as e:  # the exception's type is the outcome
+        return type(e)
+    return chosen, log_prob.hex()
+
+
+def test_draft_sample_matches_the_row_table_reference():
+    # lengths 1..16, about 20% zero weights, every size 0..length; the
+    # weights spread over 1e-3..1e3, or rounded to quarters for ties.  A
+    # Generator per case, and one pair of UniformBlocks over the run, so
+    # both draws must also take the same number of uniforms
+    rng = np.random.default_rng(2024)
+    ref_blocks = UniformBlocks(np.random.default_rng(5))
+    new_blocks = UniformBlocks(np.random.default_rng(5))
+    cases = 0
+    while cases < 20_000:
+        n = int(rng.integers(1, 17))
+        if rng.random() < 0.3:
+            w = rng.integers(1, 13, size=n) / 4.0
+        else:
+            w = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        w[rng.random(n) < 0.2] = 0.0
+        w = w.tolist() if cases % 4 else w
+        for size in range(n + 1):
+            seed = int(rng.integers(2**32))
+            want = _outcome(_row_table_draft_sample, w, size,
+                            np.random.default_rng(seed))
+            got = _outcome(cp_draft_sample, w, size,
+                           np.random.default_rng(seed))
+            assert got == want, (w, size, seed)
+            want = _outcome(_row_table_draft_sample, w, size, ref_blocks)
+            got = _outcome(cp_draft_sample, w, size, new_blocks)
+            assert got == want, (w, size)
+            cases += 1
+    assert ref_blocks.random(1) == new_blocks.random(1)

@@ -88,6 +88,18 @@ def test_sample_table_accepts_valid_tables():
         assert out.log_q <= 0.0
 
 
+def test_sample_table_without_a_generator_draws_from_a_fresh_one():
+    # no path of ex5_6 on layer axis 0 rejects (the exact expansion has
+    # reject mass 0), so every unseeded draw is accepted
+    m = fixture("ex5_6")
+    for proposal in PROPOSALS:
+        out = sample_table(m, proposal=proposal)
+        assert out.accepted and out.log_q <= 0.0
+        got = marginals_of(out.table)
+        for a in range(3):
+            assert np.array_equal(got.margins[a], m.margins[a])
+
+
 def test_sample_table_validates_input():
     rng = _per_sample_rng(0, 0)
     with pytest.raises(ValueError):
@@ -426,3 +438,46 @@ def test_a_proposal_calls_the_traced_draw_and_line_weights(monkeypatch):
     out = sample_table(fixture("semimagic-4-1"), _per_sample_rng(0, 0))
     assert out.accepted
     assert calls["cp_draft_sample"] == calls["line_weights"] > 0
+
+
+# sha256 of "index stage" for every rejected proposal of indices 0..299
+# (seed 17), recorded before draw_line learned to add its line id only
+# when it raises; an empty digest means no rejection
+REJECT_STAGE_DIGESTS = {
+    ("ex5_9", "classic"): "c4e2ae9265cffc2191a045e5c3e772e04cc51091b7f0ab659c88372e88f3cf9b",
+    ("ex5_9", "guided"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("ex5_13", "classic"): "43fb6c52a7c84d04cf09c42942f64d6c5cb00723d2252b0d020b275dc0a6e729",
+    ("ex5_13", "guided"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("survey", "classic"): "3105f1199e02df7f68918c77d683a3029bfb16563b80ee181ed1740d5da26971",
+    ("survey", "guided"): "1c7df9b0c105e89e883bed2273b318a44188d1035506ff6fec46accec635bf6c",
+}
+
+
+@pytest.mark.parametrize("name,proposal", sorted(REJECT_STAGE_DIGESTS))
+def test_reject_stages_are_pinned(name, proposal):
+    m = _survey_margins(4) if name == "survey" else fixture(name)
+    h = hashlib.sha256()
+    for i in range(300):
+        stage = sample_table(m, _per_sample_rng(17, i),
+                             proposal=proposal).reject_stage
+        if stage:
+            h.update(f"{i} {stage}\n".encode())
+    assert h.hexdigest() == REJECT_STAGE_DIGESTS[name, proposal]
+
+
+def test_a_draw_that_finds_no_subset_names_its_layer_and_line():
+    from cptables.cpdist import CPInfeasibleError
+
+    for proposal in PROPOSALS:
+        base = _rng_chooser(_per_sample_rng(17, 0))
+        draws = []
+
+        def failing_fifth(weights, size):
+            draws.append(size)
+            if len(draws) == 5:
+                raise CPInfeasibleError("forced for the test")
+            return base(weights, size)
+
+        out = sample_table(_survey_margins(4), proposal=proposal,
+                           _choose=failing_fifth)
+        assert out.reject_stage == "layer=2 line=95 cp-infeasible"
