@@ -268,16 +268,17 @@ def _row_table_draft_sample(w, size, rng):
 def _outcome(draw, w, size, rng):
     try:
         chosen, log_prob = draw(w, size, rng)
-    except Exception as e:  # the exception's type is the outcome
+    except (ValueError, CPInfeasibleError) as e:  # its type is the outcome
         return type(e)
     return chosen, log_prob.hex()
 
 
 def test_draft_sample_matches_the_row_table_reference():
     # lengths 1..16, about 20% zero weights, every size 0..length; the
-    # weights spread over 1e-3..1e3, or rounded to quarters for ties.  A
-    # Generator per case, and one pair of UniformBlocks over the run, so
-    # both draws must also take the same number of uniforms
+    # weights spread over 1e-3..1e3, or rounded to quarters for ties; a
+    # numpy vector now and then, a list otherwise.  A Generator per case,
+    # and one pair of UniformBlocks over the run, so both draws must also
+    # take the same number of uniforms
     rng = np.random.default_rng(2024)
     ref_blocks = UniformBlocks(np.random.default_rng(5))
     new_blocks = UniformBlocks(np.random.default_rng(5))
