@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (MarginalFileError, UcinetFormatError, FileNotFoundError,
+    except (MarginalFileError, UcinetFormatError, OSError, UnicodeDecodeError,
             _UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR

@@ -1,7 +1,7 @@
 """Exhaustive expansion of a proposal's decision tree on small problems.
 
 The sampler in sis.py draws one random trajectory; here the same walk
-(the steps in layers.py, from the same prepared start, for any d) splits
+(the steps in layers.py, from the same prepared Walk, for any d) splits
 every conditional Poisson draw into one branch per admissible subset of
 the line's free cells, weighted by the exact CP probability.  Leaves are
 either accepted tables (with their exact proposal probability q) or dead
@@ -42,9 +42,8 @@ import math
 import numpy as np
 
 from .cpdist import log_esym
-from .layers import layer_shape, line_weights, next_layer, next_line, set_line
+from .layers import Walk, layer_shape, line_weights, next_layer, next_line, set_line
 from .oracle import EnumerationBudgetError
-from .sis import _masked_axes, _prepare, _Start
 from .tables import Dims, InvariantError, MarginalSet, validate_marginals
 
 # A memo node is a tuple of edges (lp, bits, child), one per branch in the
@@ -110,17 +109,16 @@ def expand_paths(
     """Expand every trajectory of the proposal that sample_table draws
     from with the same layer axis and preset."""
     validate_marginals(m)
-    nosat = _masked_axes(proposal, m.dims.d)
-    start = _prepare(m, layer_axis)
-    inner = _expand(start, nosat, max_leaves)
-    if start.inv is None:
+    walk = Walk.prepare(m, layer_axis, proposal)
+    inner = _expand(walk, max_leaves)
+    if walk.inv is None:
         return inner
     # turn every reached table back in one pass: stack the keys as one
-    # (tables, *sizes) array, transpose it once and cut the C-order bytes
-    # into keys again
+    # (tables, *sizes) array, turn it once and cut the C-order bytes into
+    # keys again
     stacked = np.frombuffer(b"".join(inner.tables), dtype=np.int8)
     stacked = stacked.reshape((len(inner.tables),) + inner.dims.sizes)
-    flat = np.transpose(stacked, (0,) + tuple(1 + a for a in start.inv)).tobytes()
+    flat = walk.turn_back(stacked).tobytes()
     size = m.dims.ncells
     tables = {
         flat[lo:lo + size]: q
@@ -129,8 +127,8 @@ def expand_paths(
     return PathExpansion(m.dims, tables, inner.reject_mass, inner.leaves)
 
 
-def _expand(start: _Start, nosat: tuple[int, ...], max_leaves: int) -> PathExpansion:
-    dims = start.m.dims
+def _expand(walk: Walk, max_leaves: int) -> PathExpansion:
+    dims = walk.m.dims
     tables: dict[bytes, float] = {}
     tally = {"leaves": 0, "reject": 0.0}
 
@@ -138,11 +136,11 @@ def _expand(start: _Start, nosat: tuple[int, ...], max_leaves: int) -> PathExpan
         tally["leaves"] += 1
         tally["reject"] += math.exp(logp)
 
-    if start.root is None:
+    if walk.root is None:
         leaf_reject(0.0)
         return PathExpansion(dims, tables, tally["reject"], tally["leaves"])
 
-    state = start.fresh()
+    state = walk.fresh()
     ncells = state.geo.ncells
     # tables travel down the walk as ints, one byte per cell in C order
     one = [1 << 8 * cid for cid in range(ncells)]
@@ -195,7 +193,7 @@ def _expand(start: _Start, nosat: tuple[int, ...], max_leaves: int) -> PathExpan
             replay(node, out, logp)
             return node
         lid = next_line(state, layer) if layer >= 0 else -1
-        if lid < 0 and layer >= 0 and nosat:
+        if lid < 0 and layer >= 0 and walk.masked:
             # the layer is done: the classic layer-end pass is one edge
             mark = state.mark()
             if state.close_saturated() >= 0:
@@ -228,7 +226,7 @@ def _expand(start: _Start, nosat: tuple[int, ...], max_leaves: int) -> PathExpan
                 for picked in combinations(positives, size):
                     lp = min(sum(log_w[i] for i in picked) - log_r, 0.0)
                     mark = state.mark()
-                    if set_line(state, free_cids, certain, picked, nosat):
+                    if set_line(state, free_cids, certain, picked, walk.masked):
                         bits = ones_since(mark)
                         child = visit(layer, out | bits, logp + lp)
                         edges.append((lp, bits, child))

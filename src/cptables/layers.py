@@ -21,24 +21,30 @@ draw's cells to TableState.propagate: the certain and picked cells as its
 ones and every free cell of the line as its zeros (the ones are set by
 then, and propagate skips a cell that is set).  propagate places them and
 re-runs the structure rules on the residual problem (the saturation rule
-optionally masked per axis, see sis.py); cells they force are
+masked under the classic preset, see Walk); cells they force are
 probability-1 events and also add nothing to log q.  The final line of a
 layer (and the final layer of a table) is therefore filled
 deterministically by propagation, and any residual mismatch surfaces as
 infeasibility, i.e. a rejection.  The classic proposal's layer-end pass
 is TableState.close_saturated.
 
-sis.py drives these steps with one random draw per line, its uniforms
-taken in blocks from the proposal's own generator; expand.py branches
-over every admissible subset instead.
+sis.py and expand.py both walk from one prepared Walk: sis.py draws once
+per line, its uniforms taken in blocks from the proposal's own generator,
+and expand.py branches over every admissible subset instead.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
+
+import numpy as np
 
 from .cpdist import CPInfeasibleError
 from .reduction import TableState
+from .tables import MarginalSet, permute_marginal_axes
+
+PROPOSALS = ("classic", "guided")
 
 
 class SampleRejected(Exception):
@@ -47,6 +53,83 @@ class SampleRejected(Exception):
     def __init__(self, stage: str):
         super().__init__(stage)
         self.stage = stage
+
+
+@dataclass(frozen=True)
+class Walk:
+    """One proposal setting, prepared once for all its walks: m, the
+    margins with the layers along axis 0; inv, the inverse of that turn
+    (None if the layers already run along axis 0); root, the reduced root
+    (None when the initial reduction finds m infeasible); and masked.
+
+    Two proposal presets differ in how hard mid-run propagation forces:
+
+      * "classic"  - between draws inside a layer, only the cheap rules fire
+        (zero residual -> zero-fill, one free cell -> fill it); a line whose
+        residual equals its free-cell count (>= 2) stays open.  When a later
+        draw crosses such a line, its cells enter with probability one
+        (certain inclusions: the conditional Poisson limit of infinite odds,
+        contributing log 1 to log q).  Each time a layer completes, one
+        full-strength reduction pass closes out whatever the light rules left
+        behind, and a contradiction there rejects the sample.  That pass
+        seeds only the saturated lines: at a fixpoint of the light rules no
+        other line can fire before one of its cells is set, and the rules are
+        monotone, so it ends in the cells and verdict of a pass over all lines.
+      * "guided"   - saturated lines are filled immediately everywhere (all
+        remaining cells 1), so infeasibility surfaces as early as per-line
+        bounds can see it.  Higher acceptance on hard instances, same
+        estimator target.
+
+    They are different proposal distributions, so per-sample weights (and the
+    acceptance rate and cv^2) differ; both are supported on all tables with
+    the requested margins, so both give unbiased counts.  Tables with d != 3
+    have a single layer, so they have no layer pass to defer saturation to:
+    both presets run the guided rules there and coincide.  So a preset's
+    policy on a table is one flag, masked: true only under classic on a
+    three-way table; a layer ends with the full-strength pass exactly when
+    it is set.  Initial reduction always applies the saturation rule: full
+    lines in the *input* margins are structural ones, not sampling events.
+    """
+
+    m: MarginalSet
+    inv: tuple[int, ...] | None
+    root: TableState | None
+    masked: bool
+
+    @classmethod
+    def prepare(cls, m: MarginalSet, layer_axis: int = 0,
+                proposal: str = "classic") -> "Walk":
+        """Turn a three-way table's layer axis to the front, check the
+        preset and reduce the root once.  The caller has validated the
+        margins; d != 3 ignores layer_axis."""
+        inv = None
+        if m.dims.d == 3:
+            if not 0 <= layer_axis < 3:
+                raise ValueError("layer_axis must be 0, 1 or 2")
+            if layer_axis != 0:
+                perm = (layer_axis,) + tuple(a for a in range(3) if a != layer_axis)
+                inv = tuple(int(i) for i in np.argsort(perm))
+                m = permute_marginal_axes(m, perm)
+        if proposal not in PROPOSALS:
+            raise ValueError(f"proposal must be one of {PROPOSALS}")
+        root = TableState.from_marginals(m)
+        if root.initial_reduce() >= 0:
+            root = None
+        return cls(m, inv, root, proposal == "classic" and m.dims.d == 3)
+
+    def fresh(self) -> TableState:
+        """A walk's own copy of the reduced root."""
+        if self.root is None:
+            raise SampleRejected("initial-reduction")
+        return self.root.copy()
+
+    def turn_back(self, cells: np.ndarray) -> np.ndarray:
+        """Tables in the walk's axis order, in the input's; a stack axis
+        may lead."""
+        if self.inv is None:
+            return cells
+        lead = tuple(range(cells.ndim - len(self.inv)))
+        return np.transpose(cells, lead + tuple(len(lead) + a for a in self.inv))
 
 
 def layer_shape(geo) -> tuple[int, int]:
@@ -135,7 +218,7 @@ def line_weights(
 
 
 def set_line(
-    state: TableState, free_cids, certain, picked, nosat_axes=()
+    state: TableState, free_cids, certain, picked, masked=False
 ) -> bool:
     """Set a line's certain cells to one, the free cells at the picked
     positions to one and the other free cells to zero, in one propagate
@@ -145,11 +228,11 @@ def set_line(
     in their order (ascending from every chooser).  The zeros are all of
     free_cids, because propagate skips a cell that is already set."""
     ones = certain + [free_cids[p] for p in picked]
-    return state.propagate(deque(), nosat_axes, ones, free_cids) < 0
+    return state.propagate(deque(), masked, ones, free_cids) < 0
 
 
 def draw_line(
-    state: TableState, lid: int, choose, stage: str, nosat_axes=()
+    state: TableState, lid: int, choose, stage: str, masked=False
 ) -> float:
     """Fill one line with a CP draw over its free cells; propagate; return
     the draw's log probability.  Raises SampleRejected on a dead end, its
@@ -162,13 +245,13 @@ def draw_line(
         positions, log_prob = choose(weights, size)
     except CPInfeasibleError:
         raise SampleRejected(f"{stage} line={lid} cp-infeasible") from None
-    if not set_line(state, free_cids, certain, positions, nosat_axes):
+    if not set_line(state, free_cids, certain, positions, masked):
         raise SampleRejected(f"{stage} line={lid}")
     return log_prob
 
 
 def sample_layer(
-    state: TableState, layer: int, choose, nosat_axes=()
+    state: TableState, layer: int, choose, masked=False
 ) -> float:
     """Draw every still-open line of one layer, in next_line order; return
     the layer's log q.
@@ -182,4 +265,4 @@ def sample_layer(
         lid = next_line(state, layer)
         if lid < 0:
             return log_q
-        log_q += draw_line(state, lid, choose, stage, nosat_axes)
+        log_q += draw_line(state, lid, choose, stage, masked)

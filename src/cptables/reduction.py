@@ -10,11 +10,11 @@ over all lines of all axes:
 
 A line with rs < 0 or zs < 0 is infeasible: no completion exists.  A line
 down to one free cell has rs == 0 or zs == 0, so the one-free-cell rule is
-not a rule of its own.  The saturation rule can be masked per axis
-mid-sampling (`nosat_axes`): a line with zs == 0 and rs >= 2 then stays
-open, and the sampler resolves its cells at draw time as certain
-inclusions (see sis.py for the proposal presets built on this); at rs == 1
-it is filled all the same.  The same propagation engine drives the SIS
+not a rule of its own.  The saturation rule can be masked mid-sampling
+(one flag, `masked`, for every line): a line with zs == 0 and rs >= 2 then
+stays open, and the sampler resolves its cells at draw time as certain
+inclusions (see layers.Walk for the proposal presets built on this); at
+rs == 1 it is filled all the same.  The same propagation engine drives the SIS
 sampler (re-reduction after every sampled column), the exact enumerator,
 and the path expander (both via an undo trail), so it is written as a
 worklist over flat line ids rather than array scans.
@@ -155,15 +155,15 @@ class TableState:
             count[lid] -= 1
             pending.append(lid)
 
-    def propagate(self, pending: deque, nosat_axes=(), ones=(), zeros=()) -> int:
+    def propagate(self, pending: deque, masked=False, ones=(), zeros=()) -> int:
         """Set the free cells `ones` to 1 and then `zeros` to 0, and run the
         forcing rules until the worklist drains.  Returns -1 on success or
         the flat id of the first line proved unsatisfiable.
 
-        nosat_axes exempts axes from the saturation rule: their lines are
-        still bound-checked and filled once down to a single free cell, but a
-        line with no zeros left and two or more ones left stays unfilled and
-        is left for the caller to handle."""
+        masked exempts every line from the saturation rule: lines are still
+        bound-checked and filled once down to a single free cell, but a line
+        with no zeros left and two or more ones left stays unfilled and is
+        left for the caller to handle."""
         cells = self.cells
         rs = self.rs
         zs = self.zs
@@ -171,7 +171,6 @@ class TableState:
         push = pending.append
         line_cells = self.geo.line_cells
         cell_lines = self.geo.cell_lines
-        line_axis = self.geo.line_axis
         # the job in hand is (value, cells, count, other): the given ones,
         # then the given zeros, then each decisive line's cells
         v, cids, count, other = 1, ones, rs, zs
@@ -204,14 +203,14 @@ class TableState:
                     if z:
                         v, count, other = 0, zs, rs
                         break
-                elif z == 0 and (r == 1 or line_axis[lid] not in nosat_axes):
+                elif z == 0 and (r == 1 or not masked):
                     v, count, other = 1, rs, zs
                     break
             cids = line_cells[lid]
 
-    def initial_reduce(self, nosat_axes=()) -> int:
+    def initial_reduce(self) -> int:
         """Seed the worklist with every line (axes in order) and propagate."""
-        return self.propagate(deque(range(self.geo.nlines)), nosat_axes)
+        return self.propagate(deque(range(self.geo.nlines)))
 
     def close_saturated(self) -> int:
         """Full-strength propagation from a fixpoint of the light rules

@@ -336,3 +336,32 @@ def test_bad_fixture_name_reports_the_reason(capsys, argv, prefix):
     assert err.startswith(prefix)
     assert "cube side must be >= 2" in err
     assert "line 1" not in err and '"' not in err
+
+
+def _cli_without_traceback(argv):
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "cptables", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "{dir}"],
+    ["fixtures", "show", "ex5_1", "--out", "{dir}"],
+    ["estimate", "{latin1}"],
+    ["ingest-ucinet", "{latin1}", "--out", "{dir}/o.margins"],
+], ids=["estimate-directory", "fixtures-out-directory", "estimate-not-utf8",
+        "ingest-ucinet-not-utf8"])
+def test_unreadable_input_exits_two_without_traceback(tmp_path, argv):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("# café\n".encode("latin-1"))
+    proc = _cli_without_traceback(
+        [a.format(dir=tmp_path, latin1=latin1) for a in argv])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

@@ -130,7 +130,7 @@ def test_line_weights_saturated_crossing_is_certain():
     state = TableState.from_marginals(semimagic_margins(3, 2))
     pending = deque()
     state.set_cell(2, 0, pending)  # (0,0,2) = 0
-    assert state.propagate(pending, nosat_axes=(0, 1, 2)) < 0
+    assert state.propagate(pending, masked=True) < 0
     lid = _line(state, 0, (0, 0))  # cells (i, 0, 0)
     free_cids, weights, certain = line_weights(state, lid)
     assert certain == [0]
@@ -168,10 +168,10 @@ def test_draw_line_includes_certain_cells_at_no_cost():
     state = TableState.from_marginals(semimagic_margins(3, 2))
     pending = deque()
     state.set_cell(2, 0, pending)  # (0,0,2) = 0; line (0,0,.) saturated
-    assert state.propagate(pending, nosat_axes=(0, 1, 2)) < 0
+    assert state.propagate(pending, masked=True) < 0
     lid = _line(state, 0, (0, 0))
     choose = ScriptedChoose([(0,)])
-    log_prob = draw_line(state, lid, choose, "layer=0", nosat_axes=(0, 1, 2))
+    log_prob = draw_line(state, lid, choose, "layer=0", masked=True)
     # the certain cell went in with probability one; only the remaining
     # two cells took part in the residual size-1 draw
     assert state.cells[0] == 1

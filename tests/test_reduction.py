@@ -93,7 +93,7 @@ def test_propagate_reports_infeasible_line():
 
 def test_saturation_mask_keeps_lines_open():
     # placing a zero leaves the depth line (0,0,.) with residual 2 over 2
-    # free cells: saturated; full-strength rules fill it, masked axes defer
+    # free cells: saturated; full-strength rules fill it, masked rules defer
     m = semimagic_margins(3, 2)
 
     state = TableState.from_marginals(m)
@@ -105,21 +105,21 @@ def test_saturation_mask_keeps_lines_open():
     state2 = TableState.from_marginals(m)
     pending = deque()
     state2.set_cell(2, 0, pending)
-    assert state2.propagate(pending, nosat_axes=(0, 1, 2)) < 0
+    assert state2.propagate(pending, masked=True) < 0
     assert state2.cells[0] == -1 and state2.cells[1] == -1
 
     # bound checks still run when masked: overcommitting the open line dies
     pending = deque()
     state2.set_cell(0, 0, pending)
     state2.set_cell(1, 0, pending)
-    assert state2.propagate(pending, nosat_axes=(0, 1, 2)) >= 0
+    assert state2.propagate(pending, masked=True) >= 0
 
 
 def test_single_free_cell_rule_fires_even_when_masked():
     state = TableState.from_marginals(semimagic_margins(2, 1))
     pending = deque()
     state.set_cell(1, 1, pending)  # (0,0,1) = 1
-    assert state.propagate(pending, nosat_axes=(0, 1, 2)) < 0
+    assert state.propagate(pending, masked=True) < 0
     # zero-residual and one-free-cell rules alone pin the whole cube
     assert state.cells.count(-1) == 0
     assert state.cells[0] == 0 and state.cells[7] == 1  # (1,1,1) = 1
@@ -239,19 +239,19 @@ class _Reference:
     `hits`, the ones that a fill or a line placement puts into a masked
     saturated line with r == f == 2, leaving it at one free cell."""
 
-    def __init__(self, state, nosat_axes):
+    def __init__(self, state, masked):
         self.geo = state.geo
         self.cells = list(state.cells)
         self.rs = list(state.rs)
         self.free = list(state.free)
-        self.nosat_axes = nosat_axes
+        self.masked = masked
         self.hits = 0
 
     def place(self, cid, value, pending, count_hits=True):
         self.cells[cid] = value
         for lid in self.geo.cell_lines[cid]:
             if (count_hits and value and self.rs[lid] == self.free[lid] == 2
-                    and self.geo.line_axis[lid] in self.nosat_axes):
+                    and self.masked):
                 self.hits += 1
             self.free[lid] -= 1
             self.rs[lid] -= value
@@ -265,8 +265,7 @@ class _Reference:
                 return False
             if f == 0:
                 continue
-            if r == 0 or (r == f and (
-                    f == 1 or self.geo.line_axis[lid] not in self.nosat_axes)):
+            if r == 0 or (r == f and (f == 1 or not self.masked)):
                 for cid in self.geo.line_cells[lid]:
                     if self.cells[cid] < 0:
                         self.place(cid, 0 if r == 0 else 1, pending)
@@ -276,7 +275,8 @@ class _Reference:
 def _check_engine(seed) -> tuple[int, int]:
     """Drive random partial fills of a random d = 2, 3 or 4 table through
     TableState (set_cell + propagate, or set_line) and the reference engine
-    side by side, under a random saturation mask.  The verdicts must agree,
+    side by side, with the saturation rule masked or not at random (the
+    flag is set when any of d fair coins comes up).  The verdicts must agree,
     and after a feasible round the cells and both counters too.  Values
     mostly follow the table the margins came from, so fills stay feasible
     for a while.  Returns (reference hits, contradictions)."""
@@ -285,10 +285,10 @@ def _check_engine(seed) -> tuple[int, int]:
     sizes = tuple(int(s) for s in rng.integers(2, {2: 7, 3: 5, 4: 4}[d], size=d))
     table = (rng.random(sizes) < rng.uniform(0.2, 0.8)).astype(int)
     state = TableState.from_marginals(marginals_of(BinaryTable.from_array(table)))
-    nosat = tuple(a for a in range(d) if rng.random() < 0.5)
+    masked = bool([a for a in range(d) if rng.random() < 0.5])
     truth = table.ravel().tolist()
-    ref = _Reference(state, nosat)
-    assert state.initial_reduce(nosat) < 0
+    ref = _Reference(state, masked)
+    assert state.propagate(deque(range(state.geo.nlines)), masked) < 0
     assert ref.propagate(deque(range(state.geo.nlines)))
     while -1 in state.cells:
         assert (state.cells, state.rs, state.free) == (ref.cells, ref.rs, ref.free)
@@ -300,7 +300,7 @@ def _check_engine(seed) -> tuple[int, int]:
                 value = truth[cid] if rng.random() < 0.85 else 1 - truth[cid]
                 state.set_cell(cid, value, pending)
                 ref.place(cid, value, ref_pending, count_hits=False)
-            ok = state.propagate(pending, nosat) < 0
+            ok = state.propagate(pending, masked) < 0
         else:
             lo = state.geo.offset[-1]
             open_lines = [l for l in range(lo, state.geo.nlines)
@@ -315,7 +315,7 @@ def _check_engine(seed) -> tuple[int, int]:
                 ref.place(cid, 1, ref_pending)
             for pos, cid in enumerate(free_cids):
                 ref.place(cid, int(pos in picked), ref_pending)
-            ok = set_line(state, free_cids, certain, picked, nosat)
+            ok = set_line(state, free_cids, certain, picked, masked)
         assert ok == ref.propagate(ref_pending)
         if not ok:
             # the partial fill after a contradiction depends on the
