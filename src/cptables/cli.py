@@ -4,7 +4,9 @@ Subcommands: estimate (SIS count estimate with optional bootstrap CIs),
 sample (draw accepted tables), exact (count/enumeration by search),
 ingest-ucinet (DL file -> marginal file), fixtures (list or print bundled
 margin sets).  INPUT arguments take either a marginal-file path or a
-bundled fixture name.
+bundled fixture name.  sample and exact --enumerate print tables in one
+layout: a title line, then a three-way table layer by layer, any other
+table as numpy prints it.
 
 Exit codes: 0 success; 1 infeasible input, all proposals rejected, or an
 exceeded search budget; 2 usage or parse errors, including option values
@@ -43,6 +45,10 @@ INFEASIBLE = 1
 # MB per million nodes, so an unbounded count can exhaust the host's memory
 # (enumeration keeps no memo; LIMIT bounds what it holds)
 EXACT_BUDGET = 1_000_000
+# the least value of each whole-number option, checked in this order before
+# the command runs; an option the command lacks or leaves at None is skipped
+_MINIMUMS = (("samples", 1), ("workers", 1), ("count", 1), ("seed", 0),
+             ("bootstrap", 1), ("max_attempts", 1), ("enumerate", 1), ("budget", 1))
 
 
 class _UsageError(Exception):
@@ -76,12 +82,18 @@ def _log10(log_value: float | None) -> float | None:
     return log_value / math.log(10.0)
 
 
+def _print_table(title: str, cells: np.ndarray) -> None:
+    print(title)
+    if cells.ndim == 3:
+        for i, layer in enumerate(cells, start=1):
+            print(f"  layer {i}:")
+            for row in layer:
+                print("    " + " ".join(str(int(v)) for v in row))
+    else:
+        print(np.array2string(cells))
+
+
 def _cmd_estimate(args) -> int:
-    _require(args.samples >= 1, f"--samples must be >= 1, got {args.samples}")
-    _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
-    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
-    _require(args.bootstrap is None or args.bootstrap >= 1,
-             f"--bootstrap must be >= 1, got {args.bootstrap}")
     _require(0.0 < args.alpha < 1.0, f"--alpha must be in (0, 1), got {args.alpha}")
     m = _load_input(args.input)
     _check_layer_axis(args.layer_axis, m)
@@ -141,10 +153,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    _require(args.count >= 1, f"--count must be >= 1, got {args.count}")
-    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
-    _require(args.max_attempts is None or args.max_attempts >= 1,
-             f"--max-attempts must be >= 1, got {args.max_attempts}")
     m = _load_input(args.input)
     _check_layer_axis(args.layer_axis, m)
     outcomes, attempts = draw_accepted_tables(
@@ -156,15 +164,7 @@ def _cmd_sample(args) -> int:
         max_attempts=args.max_attempts,
     )
     for t, o in enumerate(outcomes, start=1):
-        print(f"table {t} (log q = {o.log_q:.6f}):")
-        cells = o.table.cells
-        if cells.ndim == 3:
-            for i in range(cells.shape[0]):
-                print(f"  layer {i + 1}:")
-                for row in cells[i]:
-                    print("    " + " ".join(str(int(v)) for v in row))
-        else:
-            print(np.array2string(cells))
+        _print_table(f"table {t} (log q = {o.log_q:.6f}):", o.table.cells)
     print(f"accepted {len(outcomes)} of {attempts} proposals")
     if len(outcomes) < args.count:
         print("error: attempt budget exhausted before enough acceptances", file=sys.stderr)
@@ -173,23 +173,11 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    _require(args.enumerate is None or args.enumerate >= 1,
-             f"--enumerate must be >= 1, got {args.enumerate}")
-    _require(args.budget is None or args.budget >= 1,
-             f"--budget must be >= 1, got {args.budget}")
     m = _load_input(args.input)
     if args.enumerate is not None:
         tables = exact_enumerate(m, limit=args.enumerate, budget=args.budget)
         for t, table in enumerate(tables, start=1):
-            print(f"table {t}:")
-            cells = table.cells
-            if cells.ndim == 3:
-                for i in range(cells.shape[0]):
-                    for row in cells[i]:
-                        print("  " + " ".join(str(int(v)) for v in row))
-                    print()
-            else:
-                print(np.array2string(cells))
+            _print_table(f"table {t}:", table.cells)
         print(f"enumerated: {len(tables)}")
         return 0 if tables else INFEASIBLE
     budget = EXACT_BUDGET if args.budget is None else args.budget
@@ -244,14 +232,17 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_input(sp):
         sp.add_argument("input", help="marginal file path or fixture name")
 
+    def add_walk_options(sp):
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--layer-axis", type=int, default=0, dest="layer_axis")
+        sp.add_argument("--proposal", choices=PROPOSALS, default="classic",
+                        help="proposal preset (see cptables.sis)")
+
     sp = sub.add_parser("estimate", help="SIS estimate of the number of tables")
     add_input(sp)
     sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
+    add_walk_options(sp)
     sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--layer-axis", type=int, default=0, dest="layer_axis")
-    sp.add_argument("--proposal", choices=PROPOSALS, default="classic",
-                    help="proposal preset (see cptables.sis)")
     sp.add_argument("--bootstrap", type=int, default=None, metavar="B",
                     help="bootstrap replications for percentile CIs")
     sp.add_argument("--alpha", type=float, default=0.05)
@@ -259,11 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="draw accepted tables")
     add_input(sp)
-    sp.add_argument("--seed", type=int, default=0)
+    add_walk_options(sp)
     sp.add_argument("--count", type=int, default=1)
-    sp.add_argument("--layer-axis", type=int, default=0, dest="layer_axis")
-    sp.add_argument("--proposal", choices=PROPOSALS, default="classic",
-                    help="proposal preset (see cptables.sis)")
     sp.add_argument("--max-attempts", type=int, default=None)
     sp.set_defaults(fn=_cmd_sample)
 
@@ -298,6 +286,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, least in _MINIMUMS:
+            value = getattr(args, name, None)
+            _require(value is None or value >= least,
+                     f"--{name.replace('_', '-')} must be >= {least}, got {value}")
         return args.fn(args)
     except (MarginalFileError, UcinetFormatError, OSError, UnicodeDecodeError,
             _UsageError) as e:

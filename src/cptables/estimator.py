@@ -202,7 +202,7 @@ def bootstrap_ci(
     )
 
 
-def format_count_from_log(log_value: float, digits: int = 6) -> str:
+def format_count_from_log(log_value: float) -> str:
     """Render exp(log_value) as d.dddddde+EE scientific notation straight
     from the log, so astronomically large counts never overflow."""
     if log_value == -math.inf:
@@ -210,10 +210,10 @@ def format_count_from_log(log_value: float, digits: int = 6) -> str:
     log10 = log_value / math.log(10.0)
     exp10 = math.floor(log10)
     mant = 10.0 ** (log10 - exp10)
-    if round(mant, digits) >= 10.0:
+    if round(mant, 6) >= 10.0:
         mant /= 10.0
         exp10 += 1
-    return f"{mant:.{digits}f}e{exp10:+03d}"
+    return f"{mant:.6f}e{exp10:+03d}"
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ import numpy as np
 from .cpdist import log_esym
 from .layers import Walk, layer_shape, line_weights, next_layer, next_line, set_line
 from .oracle import EnumerationBudgetError
-from .tables import Dims, InvariantError, MarginalSet, validate_marginals
+from .tables import Dims, InvariantError, MarginalSet
 
 # A memo node is a tuple of edges (lp, bits, child), one per branch in the
 # walk's order: lp is the branch's log probability (None for a layer pass),
@@ -108,27 +108,26 @@ def expand_paths(
 ) -> PathExpansion:
     """Expand every trajectory of the proposal that sample_table draws
     from with the same layer axis and preset."""
-    validate_marginals(m)
     walk = Walk.prepare(m, layer_axis, proposal)
-    inner = _expand(walk, max_leaves)
-    if walk.inv is None:
-        return inner
-    # turn every reached table back in one pass: stack the keys as one
-    # (tables, *sizes) array, turn it once and cut the C-order bytes into
-    # keys again
-    stacked = np.frombuffer(b"".join(inner.tables), dtype=np.int8)
-    stacked = stacked.reshape((len(inner.tables),) + inner.dims.sizes)
-    flat = walk.turn_back(stacked).tobytes()
-    size = m.dims.ncells
-    tables = {
-        flat[lo:lo + size]: q
-        for lo, q in zip(range(0, len(flat), size), inner.tables.values())
-    }
-    return PathExpansion(m.dims, tables, inner.reject_mass, inner.leaves)
+    tables, reject_mass, leaves = _expand(walk, max_leaves)
+    if walk.inv is not None:
+        # turn every reached table back in one pass: stack the keys as one
+        # (tables, *sizes) array, turn it once and cut the C-order bytes
+        # into keys again
+        stacked = np.frombuffer(b"".join(tables), dtype=np.int8)
+        stacked = stacked.reshape((len(tables),) + walk.m.dims.sizes)
+        flat = walk.turn_back(stacked).tobytes()
+        size = m.dims.ncells
+        tables = {
+            flat[lo:lo + size]: q
+            for lo, q in zip(range(0, len(flat), size), tables.values())
+        }
+    return PathExpansion(m.dims, tables, reject_mass, leaves)
 
 
-def _expand(walk: Walk, max_leaves: int) -> PathExpansion:
-    dims = walk.m.dims
+def _expand(walk: Walk, max_leaves: int) -> tuple[dict[bytes, float], float, int]:
+    """The reached tables (in the walk's axis order) with their q, the
+    reject mass and the leaf count."""
     tables: dict[bytes, float] = {}
     tally = {"leaves": 0, "reject": 0.0}
 
@@ -138,7 +137,7 @@ def _expand(walk: Walk, max_leaves: int) -> PathExpansion:
 
     if walk.root is None:
         leaf_reject(0.0)
-        return PathExpansion(dims, tables, tally["reject"], tally["leaves"])
+        return tables, tally["reject"], tally["leaves"]
 
     state = walk.fresh()
     ncells = state.geo.ncells
@@ -247,4 +246,4 @@ def _expand(walk: Walk, max_leaves: int) -> PathExpansion:
         # closures; break those cycles so the tables, the memo and the
         # state are freed on return, not at the next full garbage collection
         del visit, replay
-    return PathExpansion(dims, tables, tally["reject"], tally["leaves"])
+    return tables, tally["reject"], tally["leaves"]

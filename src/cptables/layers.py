@@ -28,9 +28,10 @@ deterministically by propagation, and any residual mismatch surfaces as
 infeasibility, i.e. a rejection.  The classic proposal's layer-end pass
 is TableState.close_saturated.
 
-sis.py and expand.py both walk from one prepared Walk: sis.py draws once
-per line, its uniforms taken in blocks from the proposal's own generator,
-and expand.py branches over every admissible subset instead.
+sis.py and expand.py both walk from one prepared Walk, which validates
+the margins and turns tables back to the input's axis order: sis.py draws
+once per line, its uniforms taken in blocks from the proposal's own
+generator, and expand.py branches over every admissible subset instead.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .cpdist import CPInfeasibleError
 from .reduction import TableState
-from .tables import MarginalSet, permute_marginal_axes
+from .tables import Dims, MarginalSet, permute_marginal_axes, validate_marginals
 
 PROPOSALS = ("classic", "guided")
 
@@ -59,7 +60,7 @@ class SampleRejected(Exception):
 class Walk:
     """One proposal setting, prepared once for all its walks: m, the
     margins with the layers along axis 0; inv, the inverse of that turn
-    (None if the layers already run along axis 0); root, the reduced root
+    (None if not turned); dims, the input's shape; root, the reduced root
     (None when the initial reduction finds m infeasible); and masked.
 
     Two proposal presets differ in how hard mid-run propagation forces:
@@ -93,16 +94,18 @@ class Walk:
 
     m: MarginalSet
     inv: tuple[int, ...] | None
+    dims: Dims
     root: TableState | None
     masked: bool
 
     @classmethod
     def prepare(cls, m: MarginalSet, layer_axis: int = 0,
                 proposal: str = "classic") -> "Walk":
-        """Turn a three-way table's layer axis to the front, check the
-        preset and reduce the root once.  The caller has validated the
-        margins; d != 3 ignores layer_axis."""
-        inv = None
+        """Validate the margins, check the layer axis and the preset, turn
+        a three-way table's layer axis to the front and reduce the root
+        once.  d != 3 ignores layer_axis."""
+        validate_marginals(m)
+        dims, inv = m.dims, None
         if m.dims.d == 3:
             if not 0 <= layer_axis < 3:
                 raise ValueError("layer_axis must be 0, 1 or 2")
@@ -115,7 +118,7 @@ class Walk:
         root = TableState.from_marginals(m)
         if root.initial_reduce() >= 0:
             root = None
-        return cls(m, inv, root, proposal == "classic" and m.dims.d == 3)
+        return cls(m, inv, dims, root, proposal == "classic" and m.dims.d == 3)
 
     def fresh(self) -> TableState:
         """A walk's own copy of the reduced root."""

@@ -18,15 +18,16 @@ along its last axis, and ignores the layer axis.  The two presets,
 
 A completed proposal passes one final check before it counts: the cells
 themselves, read into one int8 array, must all be 0 or 1 and sum over
-each axis to the margins.  It sums the cells rather than trusting the
-residual bookkeeping, and it raises InvariantError, so it also runs under
-python -O.  The accepted outcome's table is that same array.
+each axis to the walk's margins.  It sums the cells rather than trusting
+the residual bookkeeping, and it raises InvariantError, so it also runs
+under python -O.  The accepted outcome's table is that same array, turned
+back to the input's axis order.
 
 run_sis derives one RNG stream per sample index from the master seed, so
 results are reproducible and independent of the worker count.  What is the
-same for every proposal is done once: run_sis validates the margins, and
-each chunk of proposals (in its own pool worker) prepares one Walk; each
-proposal starts from a copy of its reduced root.
+same for every proposal is done once: each chunk of proposals (in its own
+pool worker) prepares one Walk, which validates the margins; each proposal
+starts from a copy of its reduced root.
 """
 
 from __future__ import annotations
@@ -86,16 +87,15 @@ def _rng_chooser(rng: np.random.Generator):
 _LOG_Q_OVERSHOOT_TOL = 1e-12
 
 
-def _finish(m: MarginalSet, state: TableState, log_q: float) -> SampleOutcome:
+def _finish(walk: Walk, state: TableState, log_q: float) -> SampleOutcome:
     try:
         # bytes() rejects a cell still free (-1); BinaryTable any other
         # value outside {0, 1}
-        table = BinaryTable(m.dims, np.frombuffer(
-            bytes(state.cells), np.int8).reshape(m.dims.sizes))
+        cells = np.frombuffer(bytes(state.cells), np.int8).reshape(walk.m.dims.sizes)
+        table = BinaryTable(walk.dims, walk.turn_back(cells))
     except ValueError:
         raise InvariantError("sampled table has a cell outside {0, 1}") from None
-    cells = table.cells
-    for a, want in enumerate(m.margins):  # int64 in C order, as the sums
+    for a, want in enumerate(walk.m.margins):  # int64 in C order, as the sums
         if cells.sum(axis=a, dtype=np.int64).tobytes() != want.tobytes():
             raise InvariantError(
                 f"sampled table violates the margin over axis {a}"
@@ -124,7 +124,6 @@ def sample_table(
     rng ends up to a block past the last uniform they use; with neither
     rng nor a chooser, they draw from a fresh np.random.default_rng()."""
     if _walk is None:
-        validate_marginals(m)
         _walk = Walk.prepare(m, layer_axis, proposal)
     if _choose is None:
         _choose = _rng_chooser(np.random.default_rng() if rng is None else rng)
@@ -138,13 +137,9 @@ def sample_table(
             log_q += sample_layer(state, layer, _choose, _walk.masked)
             if _walk.masked and state.close_saturated() >= 0:
                 raise SampleRejected(f"layer={layer} closing-pass")
-        out = _finish(_walk.m, state, log_q)
+        return _finish(_walk, state, log_q)
     except SampleRejected as r:
         return SampleOutcome("rejected", reject_stage=r.stage)
-    if _walk.inv is None:
-        return out
-    table = BinaryTable(m.dims, _walk.turn_back(out.table.cells))
-    return SampleOutcome("accepted", table=table, log_q=out.log_q)
 
 
 # perfbench/spans.py binds its sis.proposal span by this name
@@ -172,6 +167,8 @@ def _weight_chunk(
 def run_sis(m: MarginalSet, cfg: SisConfig) -> np.ndarray:
     """Run N independent proposals; return the log importance weights
     log Y_i = -log q(X_i), with -inf marking rejections."""
+    # Walk.prepare validates too, but a pool worker cannot hand back a
+    # MarginalValidationError (it does not unpickle): reject it in the parent
     validate_marginals(m)
     n = cfg.samples
     if cfg.workers == 1:
@@ -203,7 +200,6 @@ def draw_accepted_tables(
         raise ValueError("count must be >= 1")
     if max_attempts is None:
         max_attempts = 1000 * count
-    validate_marginals(m)
     walk = Walk.prepare(m, layer_axis, proposal)
     accepted: list[SampleOutcome] = []
     attempt = 0

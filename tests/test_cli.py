@@ -365,3 +365,39 @@ def test_unreadable_input_exits_two_without_traceback(tmp_path, argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "ex5_6", "--samples", "0"], "--samples must be >= 1, got 0"),
+    (["estimate", "ex5_6", "--workers", "0"], "--workers must be >= 1, got 0"),
+    (["estimate", "ex5_6", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["estimate", "ex5_6", "--bootstrap", "0"], "--bootstrap must be >= 1, got 0"),
+    (["sample", "ex5_6", "--count", "0"], "--count must be >= 1, got 0"),
+    (["sample", "ex5_6", "--seed", "-2"], "--seed must be >= 0, got -2"),
+    (["sample", "ex5_6", "--max-attempts", "0"],
+     "--max-attempts must be >= 1, got 0"),
+    (["exact", "ex5_6", "--enumerate", "0"], "--enumerate must be >= 1, got 0"),
+    (["exact", "ex5_6", "--budget", "-1"], "--budget must be >= 1, got -1"),
+    # two options out of range: each command reports the same one as ever
+    (["sample", "ex5_6", "--seed", "-1", "--count", "0"],
+     "--count must be >= 1, got 0"),
+    (["estimate", "ex5_6", "--samples", "0", "--workers", "0"],
+     "--samples must be >= 1, got 0"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_option_minimum_messages(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_exact_enumerate_prints_tables_in_the_sample_layout(capsys):
+    assert main(["exact", "ex5_2", "--enumerate", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "table 1:\n"
+        "  layer 1:\n    1 1 0 1\n    0 1 1 1\n    1 1 1 0\n"
+        "  layer 2:\n    0 1 1 1\n    0 1 1 1\n    1 1 1 1\n"
+        "  layer 3:\n    1 0 1 0\n    1 1 0 0\n    0 1 1 1\n"
+        "table 2:\n  layer 1:\n"
+    )
+    assert out.endswith("enumerated: 2\n") and "\n\n" not in out

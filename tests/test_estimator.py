@@ -304,3 +304,29 @@ def _report_digest(names, samples, b):
 @pytest.mark.parametrize("panel", sorted(REPORT_DIGESTS))
 def test_estimate_reports_are_pinned_bit_for_bit(panel):
     assert _report_digest(*REPORT_PANELS[panel]) == REPORT_DIGESTS[panel]
+
+
+# Latin squares of order n are the semimagic-n-1 cubes.  Their published
+# counts L(n) (OEIS A002860; McKay & Wanless 2005, Ann. Comb. 9:335) and
+# reduced-square counts R(n) (OEIS A000315), with L(n) = n! (n-1)! R(n)
+LATIN_COUNTS = {
+    6: (812851200, 9408),
+    7: (61479419904000, 16942080),
+    8: (108776032459082956800, 535281401856),
+    9: (5524751496156892842531225600, 377597570964258816),
+    10: (9982437658213039871725064756920320000,
+         7580721483160132811489280),
+}
+
+
+@pytest.mark.parametrize("n", sorted(LATIN_COUNTS))
+def test_latin_square_estimates_match_the_published_counts(n):
+    count, reduced = LATIN_COUNTS[n]
+    assert count == math.factorial(n) * math.factorial(n - 1) * reduced
+    r = estimate_table_count(fixture(f"semimagic-{n}-1"), 3000, seed=11)
+    # the run's own standard error of estimate / count, from its acceptance
+    # and cv^2, as perfbench's desk check takes it
+    rel_var = (1.0 + r.cv2) / r.acceptance_rate - 1.0
+    se = math.sqrt(rel_var / r.n)
+    z = (math.exp(r.estimate_log - math.log(count)) - 1.0) / se
+    assert abs(z) <= 4.0, f"order {n}: z = {z:+.2f}"

@@ -14,9 +14,11 @@ from cptables import (
     Dims,
     InvariantError,
     MarginalSet,
+    MarginalValidationError,
     SisConfig,
     draw_accepted_tables,
     exact_count,
+    expand_paths,
     fixture,
     fixture_names,
     marginals_of,
@@ -227,13 +229,13 @@ def test_margin_check_survives_python_O():
         state = TableState.from_marginals(m)
         state.cells = [0] * len(state.cells)
         try:
-            sis._finish(m, state, 0.0)
+            sis._finish(sis.Walk.prepare(m), state, 0.0)
             sys.exit(1)
         except InvariantError as e:
             print(e)
         state.cells[0] = -1
         try:
-            sis._finish(m, state, 0.0)
+            sis._finish(sis.Walk.prepare(m), state, 0.0)
         except InvariantError as e:
             print(e)
             sys.exit(0)
@@ -481,3 +483,22 @@ def test_a_draw_that_finds_no_subset_names_its_layer_and_line():
         out = sample_table(_survey_margins(4), proposal=proposal,
                            _choose=failing_fifth)
         assert out.reject_stage == "layer=2 line=95 cp-infeasible"
+
+
+# the margins of tests/test_cli.py's INVALID_TEXT, which disagree on the
+# grand total; layer axis 5 would fail its own check on a three-way table
+INVALID_MARGINS = marginals3([[1, 1], [1, 1]], [[1, 1], [1, 1]], [[2, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: sample_table(m, np.random.default_rng(0), layer_axis=5),
+    lambda m: draw_accepted_tables(m, 1, layer_axis=5),
+    lambda m: expand_paths(m, layer_axis=5),
+    lambda m: run_sis(m, SisConfig(samples=4, layer_axis=5)),
+    lambda m: run_sis(m, SisConfig(samples=4, layer_axis=5, workers=2)),
+], ids=["sample_table", "draw_accepted_tables", "expand_paths", "run_sis-1",
+        "run_sis-2"])
+def test_walk_entry_points_reject_invalid_margins_first(call):
+    with pytest.raises(MarginalValidationError) as err:
+        call(INVALID_MARGINS)
+    assert err.value.kind == "total"
