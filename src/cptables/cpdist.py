@@ -5,23 +5,22 @@ sum being exactly s.  The conditional law of the indicator vector is the CP
 distribution: it weights a size-s subset z by the product of the odds
 w_k = p_k / (1 - p_k) over the chosen k, normalized by the elementary
 symmetric function R(s, w) = sum over size-s subsets of their weight
-products.  Everything here works from the weights:
+products.
 
-  * R(s, w) via the add-one-item recurrence, never subset enumeration,
-  * the exact pmf of a subset, and
-  * the sequential sampler of Chen, Dempster & Liu (1994, Biometrika
-    81:457), which makes one pass over the items, including item j with
-    probability w_j * R(s-1, items after j) / R(s, items from j), and
-    lands exactly on the CP distribution.  Its backward R table is built
-    one degree at a time, each column one running sum over the reversed
-    weights, and its log-pmf comes from the same table.  It takes one
-    uniform per positive weight, from a numpy Generator or from
-    UniformBlocks, which hands out a generator's uniforms a block at a
-    time with the same bits.
+Everything here reads one table of R, built by _columns with the add-one-item
+recurrence (never subset enumeration) over the positive weights normalized
+to max 1; zero weights are allowed and never selected.
 
-Weights of zero are allowed in the vectors (such items are simply never
-selected).  Dynamic range is handled by normalizing weights to max 1 inside
-the linear recurrences and carrying exact log corrections.
+  * cp_draft_sample is the sequential sampler of Chen, Dempster & Liu (1994,
+    Biometrika 81:457): over the table of the reversed weights, one pass
+    includes item j with probability w_j * R(s-1, items after j) /
+    R(s, items from j), and lands exactly on the CP distribution.  It takes
+    one uniform per positive weight, from a numpy Generator or from
+    UniformBlocks, which hands out a generator's uniforms a block at a time
+    with the same bits.
+  * cp_log_pmf rebuilds that table to score a subset: the draw's log_prob,
+    bit for bit.
+  * log_esym_table reads log R(s, w) off the table of the weights in order.
 """
 
 from __future__ import annotations
@@ -68,100 +67,98 @@ class UniformBlocks:
         return self.buf[pos:pos + k]
 
 
-def _as_weights(w) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1:
-        raise ValueError("weights must be a flat vector")
-    if w.size and w.min() < 0:
+def _positive(w) -> tuple[list, list[int]]:
+    """The weights as a list (a list is used as it is, anything else is
+    converted to floats) and the ids of the positive ones."""
+    try:
+        if type(w) is not list:
+            w = [float(x) for x in w]
+        pos = [j for j, x in enumerate(w) if x > 0.0]
+        negative = len(pos) < len(w) and min(w) < 0.0
+    except TypeError:
+        raise ValueError("weights must be a flat vector") from None
+    if negative:
         raise ValueError("weights must be nonnegative")
-    return w
+    return w, pos
 
 
-def log_esym_table(w, smax: int) -> np.ndarray:
-    """log R(s, w) for s = 0..smax via the add-one-item recurrence
-    R(s, A) = R(s, A - {i}) + w_i * R(s-1, A - {i}); -inf where R = 0."""
-    w = _as_weights(w)
+def _columns(x: list[float], size: int) -> list[list[float]]:
+    """cols[t][n] = R(t, the first n items of x) for t = 0..size.
+
+    R(t, n + 1 items) = R(t, n) + x_n * R(t - 1, n) makes each column one
+    running sum of products with the column before: the products and sums,
+    in their order, that a row per item would take."""
+    col = [1.0] * (len(x) + 1)
+    cols = [col]
+    for _ in range(size):
+        col = list(accumulate(map(mul, x, col), initial=0.0))
+        cols.append(col)
+    return cols
+
+
+def log_esym_table(w, smax: int) -> list[float]:
+    """log R(s, w) for s = 0..smax; -inf where R = 0."""
+    w, pos = _positive(w)
     smax = int(smax)
     if smax < 0:
         raise ValueError("smax must be >= 0")
-    # in linear space with the weights normalized to max 1: the true R(s)
-    # is rows[s] * wmax ** s
-    rows = np.zeros(smax + 1)
-    rows[0] = 1.0
-    wmax = float(w.max()) if w.size else 0.0
-    if wmax > 0.0:
-        for wi in w / wmax:
-            if wi > 0.0:
-                rows[1:] += wi * rows[:-1]
-    with np.errstate(divide="ignore"):
-        out = np.log(rows)
-    if wmax > 0.0:
-        out += math.log(wmax) * np.arange(smax + 1)
-    return out
+    wmax = max(w) if pos else 1.0
+    log_wmax = math.log(wmax)
+    cols = _columns([w[j] / wmax for j in pos], smax)
+    return [math.log(col[-1]) + log_wmax * s if col[-1] > 0.0 else -math.inf
+            for s, col in enumerate(cols)]
 
 
 def log_esym(w, s: int) -> float:
     """log R(s, w) for a single degree s."""
-    return float(log_esym_table(w, s)[s])
+    return log_esym_table(w, s)[s]
 
 
 def cp_log_pmf(w, size: int, subset) -> float:
     """Exact log probability of drawing `subset` (item indices) from the CP
-    distribution over size-`size` subsets with weights w."""
-    w = _as_weights(w)
+    distribution over size-`size` subsets with weights w: the log_prob
+    cp_draft_sample gives it, bit for bit."""
+    w, pos = _positive(w)
     size = int(size)
-    idx = np.asarray(sorted(int(i) for i in subset), dtype=int)
-    if idx.size != size:
-        raise ValueError(f"subset has {idx.size} items, expected {size}")
-    if idx.size != np.unique(idx).size:
+    idx = sorted(int(i) for i in subset)
+    if len(idx) != size:
+        raise ValueError(f"subset has {len(idx)} items, expected {size}")
+    if len(set(idx)) != size:
         raise ValueError("subset indices must be distinct")
-    if idx.size and (idx.min() < 0 or idx.max() >= w.size):
+    if idx and (idx[0] < 0 or idx[-1] >= len(w)):
         raise ValueError("subset index out of range")
-    if size == 0:
+    if len(pos) < size:
+        raise CPInfeasibleError(f"only {len(pos)} positive weights, need {size}")
+    if not all(w[i] > 0.0 for i in idx):
+        return -math.inf
+    if size in (0, len(pos)):  # the draw's certain subsets
         return 0.0
-    log_r = log_esym(w, size)
-    if log_r == -math.inf:
-        raise CPInfeasibleError(
-            f"no size-{size} subset has positive weight (R = 0)"
-        )
-    with np.errstate(divide="ignore"):
-        val = float(np.log(w[idx]).sum()) - log_r
-    # float rounding can push a certain event a hair above probability 1
-    return min(val, 0.0)
+    wmax = max(w)
+    r_all = _columns([w[j] / wmax for j in reversed(pos)], size)[size][-1]
+    if not r_all > 0.0:
+        raise CPInfeasibleError(f"R({size}, w) underflows to zero")
+    log_w = 0.0
+    for i in idx:
+        log_w += math.log(w[i] / wmax)
+    return min(log_w - math.log(r_all), 0.0)
 
 
 def cp_draft_sample(w, size: int, rng) -> CPSample:
     """Draw one CP subset with the sequential procedure of Chen, Dempster &
     Liu (1994, Biometrika 81:457).
 
-    A backward table holds R(t, items j..) for t <= size, one column per
-    degree t: over the weights in reverse, R(t, n + 1 items) = R(t, n) +
-    w * R(t - 1, n) makes each column one running sum of products with the
-    column before (the products and sums, in their order, that a row per
-    item would take).  One forward pass then includes item j with
-    probability w_j * R(s-1, items j+1..) / R(s, items j..), s being the
-    units still needed, until s reaches 0; it reads two columns, s and
-    s - 1.  The subset is exactly CP(size, w) distributed, and log_prob,
-    the closed-form pmf sum(log w_chosen) - log R(size, w), comes from the
-    same table.  Runs on plain lists, as the vectors are short and the
-    call is hot: a list of weights is used as it is, anything else is
-    converted to floats.  Unless the subset is certain, it takes
-    rng.random(k), k the number of positive weights, from a numpy
-    Generator or a UniformBlocks.
+    One forward pass over the backward table (_columns over the reversed
+    weights) includes item j with probability w_j * R(s-1, items j+1..) /
+    R(s, items j..), s being the units still needed, until s reaches 0; it
+    reads two columns, s and s - 1.  log_prob is the closed-form pmf
+    sum(log w_chosen) - log R(size, w) from the same table.  Unless the
+    subset is certain, it takes rng.random(k), k the number of positive
+    weights, from a numpy Generator or a UniformBlocks.
     """
-    try:
-        if type(w) is not list:
-            w = [float(x) for x in w]
-        # zero-weight items can never be drawn; drop them, keep original ids
-        pos = [j for j, x in enumerate(w) if x > 0.0]
-        negative = len(pos) < len(w) and min(w) < 0.0
-    except TypeError:
-        raise ValueError("weights must be a flat vector") from None
+    w, pos = _positive(w)
     size = int(size)
     if not (0 <= size <= len(w)):
         raise ValueError(f"size must be within 0..{len(w)}, got {size}")
-    if negative:
-        raise ValueError("weights must be nonnegative")
     k = len(pos)
     if k < size:
         raise CPInfeasibleError(f"only {k} positive weights, need {size}")
@@ -173,14 +170,10 @@ def cp_draft_sample(w, size: int, rng) -> CPSample:
     wmax = max(w)
     if k < len(w):
         w = [w[j] for j in pos]
-    # the positive weights normalized to max 1, last item first;
-    # cols[t][n] = R(t, the last n items)
+    # the positive weights normalized to max 1, last item first
     rev = [x / wmax for x in reversed(w)]
-    col = [1.0] * (k + 1)
-    cols = [col]
-    for _ in range(size):
-        col = list(accumulate(map(mul, rev, col), initial=0.0))
-        cols.append(col)
+    cols = _columns(rev, size)
+    col = cols[size]
     r_all = col[k]
     if not r_all > 0.0:
         raise CPInfeasibleError(f"R({size}, w) underflows to zero")

@@ -40,13 +40,7 @@ import numpy as np
 from .cpdist import UniformBlocks, cp_draft_sample
 from .layers import PROPOSALS, SampleRejected, Walk, next_layer, sample_layer
 from .reduction import TableState
-from .tables import (
-    BinaryTable,
-    InvariantError,
-    MarginalSet,
-    SampleOutcome,
-    validate_marginals,
-)
+from .tables import BinaryTable, InvariantError, MarginalSet, SampleOutcome
 
 
 @dataclass(frozen=True)
@@ -167,9 +161,6 @@ def _weight_chunk(
 def run_sis(m: MarginalSet, cfg: SisConfig) -> np.ndarray:
     """Run N independent proposals; return the log importance weights
     log Y_i = -log q(X_i), with -inf marking rejections."""
-    # Walk.prepare validates too, but a pool worker cannot hand back a
-    # MarginalValidationError (it does not unpickle): reject it in the parent
-    validate_marginals(m)
     n = cfg.samples
     if cfg.workers == 1:
         return _weight_chunk(m, cfg.seed, cfg.layer_axis, cfg.proposal, 0, n)

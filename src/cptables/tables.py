@@ -36,6 +36,9 @@ class MarginalValidationError(CPTablesError):
         super().__init__(message)
         self.kind = kind
 
+    def __reduce__(self):
+        return type(self), (self.kind, str(self))
+
 
 def _frozen(a, dtype) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(a, dtype=dtype))

@@ -183,8 +183,12 @@ def test_cp_distribution_demo_runs():
 ], ids=["negative-list", "negative-array", "negative-tuple", "nested-list",
         "nested-row", "matrix"])
 def test_draft_sample_rejects_bad_weights_of_every_input_type(bad):
-    with pytest.raises(ValueError):
-        cp_draft_sample(bad, 1, np.random.default_rng(0))
+    # the draw, the scorer and the table share one weight check
+    for call in (lambda w: cp_draft_sample(w, 1, np.random.default_rng(0)),
+                 lambda w: cp_log_pmf(w, 1, [0]),
+                 lambda w: log_esym_table(w, 1)):
+        with pytest.raises(ValueError):
+            call(bad)
 
 
 def test_draft_sample_gives_the_same_draw_for_every_input_type():
@@ -202,6 +206,8 @@ def test_draft_sample_gives_the_same_draw_for_every_input_type():
         assert s.chosen == s[0] and s.log_prob == s[1]
         assert math.isclose(s.log_prob, cp_log_pmf(w, size, s.chosen),
                             rel_tol=1e-12, abs_tol=1e-12)
+        # the scorer rebuilds the draw's table: the same bits
+        assert cp_log_pmf(w, size, s.chosen) == s.log_prob
     # a list of ints is used as it is, and draws as its floats do
     ints, floats = [3, 0, 1, 2, 5], [3.0, 0.0, 1.0, 2.0, 5.0]
     for seed in range(20):

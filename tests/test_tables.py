@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +119,13 @@ def test_validate_marginals_detects_each_kind():
     with pytest.raises(MarginalValidationError) as e:
         validate_marginals(patched([[1, 1], [1, 1]]))
     assert e.value.kind == "one-way"
+
+
+def test_marginal_validation_error_survives_pickling():
+    # a pool worker hands it back to the parent this way
+    err = pickle.loads(pickle.dumps(MarginalValidationError("total", "x")))
+    assert type(err) is MarginalValidationError
+    assert err.kind == "total" and str(err) == "x"
 
 
 @settings(max_examples=40, deadline=None)
