@@ -27,7 +27,7 @@ from .estimator import (
 )
 from .expand import PathExpansion, expand_paths
 from .fixtures import fixture, fixture_names, semimagic_margins
-from .layers import line_weights, sample_layer
+from .layers import WalkOptionError, line_weights, sample_layer
 from .marginfile import (
     MarginalFileError,
     format_marginals,
@@ -73,6 +73,7 @@ __all__ = [
     "SisConfig",
     "TableState",
     "UcinetFormatError",
+    "WalkOptionError",
     "bootstrap_ci",
     "cp_draft_sample",
     "cp_log_pmf",

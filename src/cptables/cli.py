@@ -10,9 +10,9 @@ table as numpy prints it.
 
 Exit codes: 0 success; 1 infeasible input, all proposals rejected, or an
 exceeded search budget; 2 usage or parse errors, including option values
-out of range.  The last stdout line of `estimate` is a JSON record; given
-the same arguments it is byte-identical across runs except for the
-runtime_ms field.
+out of range (main maps the walk's WalkOptionError).  The last stdout line
+of `estimate` is a JSON record; given the same arguments it is
+byte-identical across runs except for the runtime_ms field.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from .estimator import estimate_table_count, format_count_from_log
 from .fixtures import fixture, fixture_names
+from .layers import PROPOSALS, WalkOptionError
 from .marginfile import (
     MarginalFileError,
     format_marginals,
@@ -35,7 +36,7 @@ from .marginfile import (
     write_marginal_file,
 )
 from .oracle import EnumerationBudgetError, exact_count, exact_enumerate
-from .sis import PROPOSALS, draw_accepted_tables
+from .sis import draw_accepted_tables
 from .tables import MarginalSet, MarginalValidationError
 from .ucinet import UcinetFormatError, parse_ucinet_dl
 
@@ -58,13 +59,6 @@ class _UsageError(Exception):
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise _UsageError(message)
-
-
-def _check_layer_axis(axis: int, m: MarginalSet) -> None:
-    # only a three-way table has layers to turn; other d ignore the axis
-    _require(axis >= 0, f"--layer-axis must be >= 0, got {axis}")
-    _require(m.dims.d != 3 or axis < 3,
-             f"--layer-axis must be 0, 1 or 2 for a three-way table, got {axis}")
 
 
 def _load_input(source: str) -> MarginalSet:
@@ -96,7 +90,6 @@ def _print_table(title: str, cells: np.ndarray) -> None:
 def _cmd_estimate(args) -> int:
     _require(0.0 < args.alpha < 1.0, f"--alpha must be in (0, 1), got {args.alpha}")
     m = _load_input(args.input)
-    _check_layer_axis(args.layer_axis, m)
     t0 = time.perf_counter()
     report = estimate_table_count(
         m,
@@ -154,7 +147,6 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_sample(args) -> int:
     m = _load_input(args.input)
-    _check_layer_axis(args.layer_axis, m)
     outcomes, attempts = draw_accepted_tables(
         m,
         args.count,
@@ -294,6 +286,9 @@ def main(argv=None) -> int:
     except (MarginalFileError, UcinetFormatError, OSError, UnicodeDecodeError,
             _UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return USAGE_ERROR
+    except WalkOptionError as e:  # args: (option, rule), from Walk.prepare
+        print(f"error: --{e.args[0].replace('_', '-')} {e.args[1]}", file=sys.stderr)
         return USAGE_ERROR
     except (MarginalValidationError, EnumerationBudgetError) as e:
         print(f"error: {e}", file=sys.stderr)

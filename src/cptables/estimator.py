@@ -281,7 +281,7 @@ def estimate_table_count(
     """One-call convenience: run the sampler and summarize the stream.  The
     bootstrap RNG is derived from the same master seed on a stream that can
     never collide with the per-sample streams."""
-    from .sis import SisConfig, run_sis  # local import keeps module load light
+    from .sis import SisConfig, run_sis, stream_rng  # keeps module load light
 
     cfg = SisConfig(
         samples=samples,
@@ -291,7 +291,5 @@ def estimate_table_count(
         workers=workers,
     )
     lw = run_sis(m, cfg)
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(_BOOTSTRAP_STREAM,)))
-    )
-    return summarize(lw, bootstrap_b=bootstrap_b, alpha=alpha, rng=rng)
+    return summarize(lw, bootstrap_b=bootstrap_b, alpha=alpha,
+                     rng=stream_rng(seed, _BOOTSTRAP_STREAM))

@@ -43,9 +43,17 @@ import numpy as np
 
 from .cpdist import CPInfeasibleError
 from .reduction import TableState
-from .tables import Dims, MarginalSet, permute_marginal_axes, validate_marginals
+from .tables import (CPTablesError, Dims, MarginalSet, permute_marginal_axes,
+                     validate_marginals)
 
 PROPOSALS = ("classic", "guided")
+
+
+class WalkOptionError(CPTablesError, ValueError):
+    """A walk option out of range: args (option, rule); str() joins them."""
+
+    def __str__(self):
+        return " ".join(self.args)
 
 
 class SampleRejected(Exception):
@@ -101,20 +109,23 @@ class Walk:
     @classmethod
     def prepare(cls, m: MarginalSet, layer_axis: int = 0,
                 proposal: str = "classic") -> "Walk":
-        """Validate the margins, check the layer axis and the preset, turn
-        a three-way table's layer axis to the front and reduce the root
-        once.  d != 3 ignores layer_axis."""
+        """Validate the margins, then the walk options (their one rule):
+        layer_axis >= 0, and < 3 on a three-way table; proposal in
+        PROPOSALS.  Turn a three-way table's layer axis to the front and
+        reduce the root once.  Any other d ignores a nonnegative layer_axis."""
         validate_marginals(m)
         dims, inv = m.dims, None
-        if m.dims.d == 3:
-            if not 0 <= layer_axis < 3:
-                raise ValueError("layer_axis must be 0, 1 or 2")
-            if layer_axis != 0:
-                perm = (layer_axis,) + tuple(a for a in range(3) if a != layer_axis)
-                inv = tuple(int(i) for i in np.argsort(perm))
-                m = permute_marginal_axes(m, perm)
+        if layer_axis < 0:
+            raise WalkOptionError("layer_axis", f"must be >= 0, got {layer_axis}")
+        if m.dims.d == 3 and layer_axis > 2:
+            raise WalkOptionError("layer_axis", "must be 0, 1 or 2 for a "
+                                  f"three-way table, got {layer_axis}")
         if proposal not in PROPOSALS:
-            raise ValueError(f"proposal must be one of {PROPOSALS}")
+            raise WalkOptionError("proposal", f"must be one of {PROPOSALS}")
+        if m.dims.d == 3 and layer_axis != 0:
+            perm = (layer_axis,) + tuple(a for a in range(3) if a != layer_axis)
+            inv = tuple(int(i) for i in np.argsort(perm))
+            m = permute_marginal_axes(m, perm)
         root = TableState.from_marginals(m)
         if root.initial_reduce() >= 0:
             root = None

@@ -23,11 +23,11 @@ the residual bookkeeping, and it raises InvariantError, so it also runs
 under python -O.  The accepted outcome's table is that same array, turned
 back to the input's axis order.
 
-run_sis derives one RNG stream per sample index from the master seed, so
-results are reproducible and independent of the worker count.  What is the
-same for every proposal is done once: each chunk of proposals (in its own
-pool worker) prepares one Walk, which validates the margins; each proposal
-starts from a copy of its reduced root.
+run_sis derives one RNG stream per sample index from the master seed
+(stream_rng), so results are reproducible and independent of the worker
+count.  Each chunk of proposals (in its own pool worker) prepares one Walk,
+which checks the margins, the layer axis and the preset once; each
+proposal starts from a copy of its reduced root.
 """
 
 from __future__ import annotations
@@ -38,16 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpdist import UniformBlocks, cp_draft_sample
-from .layers import PROPOSALS, SampleRejected, Walk, next_layer, sample_layer
+from .layers import SampleRejected, Walk, next_layer, sample_layer
 from .reduction import TableState
 from .tables import BinaryTable, InvariantError, MarginalSet, SampleOutcome
 
 
 @dataclass(frozen=True)
 class SisConfig:
-    """Run settings: sample count, master seed, layer axis (0-based; it
-    picks a three-way table's layers, other d ignore it), proposal preset,
-    and worker processes."""
+    """Run settings: samples, master seed, layer axis, preset and workers.
+    Only samples and workers are checked here; Walk.prepare checks the rest."""
 
     samples: int
     seed: int = 0
@@ -60,10 +59,6 @@ class SisConfig:
             raise ValueError("samples must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.layer_axis < 0:
-            raise ValueError("layer_axis must be >= 0")
-        if self.proposal not in PROPOSALS:
-            raise ValueError(f"proposal must be one of {PROPOSALS}")
 
 
 def _rng_chooser(rng: np.random.Generator):
@@ -142,7 +137,8 @@ def sample_table(
 sample_table3 = sample_table
 
 
-def _per_sample_rng(seed: int, index: int) -> np.random.Generator:
+def stream_rng(seed: int, index: int) -> np.random.Generator:
+    """Stream index of a master seed: its own PCG64 generator."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -153,7 +149,7 @@ def _weight_chunk(
     out = np.empty(hi - lo)
     walk = Walk.prepare(m, layer_axis, proposal)
     for i in range(lo, hi):
-        o = sample_table(m, _per_sample_rng(seed, i), _walk=walk)
+        o = sample_table(m, stream_rng(seed, i), _walk=walk)
         out[i - lo] = -o.log_q if o.accepted else -np.inf
     return out
 
@@ -191,11 +187,13 @@ def draw_accepted_tables(
         raise ValueError("count must be >= 1")
     if max_attempts is None:
         max_attempts = 1000 * count
+    elif max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
     walk = Walk.prepare(m, layer_axis, proposal)
     accepted: list[SampleOutcome] = []
     attempt = 0
     while len(accepted) < count and attempt < max_attempts:
-        o = sample_table(m, _per_sample_rng(seed, attempt), _walk=walk)
+        o = sample_table(m, stream_rng(seed, attempt), _walk=walk)
         if o.accepted:
             accepted.append(o)
         attempt += 1

@@ -309,6 +309,42 @@ def test_layer_axis_is_ignored_below_and_above_three_ways(capsys, tmp_path):
     capsys.readouterr()
 
 
+_NEGATIVE_AXIS = "error: --layer-axis must be >= 0, got -1\n"
+_THREE_WAY_AXIS = "error: --layer-axis must be 0, 1 or 2 for a three-way table, got {}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "--samples", "20", "--workers", "1"],
+    ["estimate", "--samples", "20", "--workers", "2"],
+    ["sample"],
+], ids=" ".join)
+@pytest.mark.parametrize("source, axis, err", [
+    ("two-way", -1, _NEGATIVE_AXIS),
+    ("two-way", 3, ""),
+    ("two-way", 5, ""),
+    ("ex5_6", -1, _NEGATIVE_AXIS),
+    ("ex5_6", 3, _THREE_WAY_AXIS.format(3)),
+    ("ex5_6", 5, _THREE_WAY_AXIS.format(5)),
+    ("four-way", -1, _NEGATIVE_AXIS),
+    ("four-way", 3, ""),
+    ("four-way", 5, ""),
+])
+def test_layer_axis_messages(capsys, tmp_path, command, source, axis, err):
+    # the exact stderr and exit code of each layer axis on each d
+    shapes = {"two-way": (3, 4), "four-way": (2, 2, 3, 2)}
+    if source in shapes:
+        cells = (np.random.default_rng(0).random(shapes[source]) < 0.5).astype(int)
+        path = tmp_path / f"{source}.margins"
+        path.write_text(format_marginals(marginals_of(BinaryTable.from_array(cells))))
+        source = str(path)
+    argv = [command[0], source, "--layer-axis", str(axis), *command[1:]]
+    assert main(argv) == (2 if err else 0)
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if err:
+        assert captured.out == ""
+
+
 def test_out_of_range_option_exits_two_without_traceback():
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(

@@ -19,7 +19,8 @@ from cptables import (
     semimagic_margins,
 )
 from cptables.oracle import EnumerationBudgetError
-from cptables.sis import PROPOSALS, _per_sample_rng
+from cptables.layers import PROPOSALS
+from cptables.sis import stream_rng
 
 SMALL = ("ex5_1", "ex5_2", "ex5_3", "ex5_8", "ex5_12")
 
@@ -89,7 +90,7 @@ def test_sampler_log_q_agrees_with_expansion():
             px = expand_paths(m, layer_axis=axis, proposal=proposal)
             seen = 0
             for i in range(200):
-                out = sample_table(m, _per_sample_rng(7, i), layer_axis=axis,
+                out = sample_table(m, stream_rng(7, i), layer_axis=axis,
                                    proposal=proposal)
                 if not out.accepted:
                     continue
@@ -103,7 +104,7 @@ def test_monte_carlo_acceptance_matches_exact_mass():
     m = fixture("ex5_9")
     exact = expand_paths(m).acceptance
     n = 2000
-    hits = sum(sample_table(m, _per_sample_rng(3, i)).accepted for i in range(n))
+    hits = sum(sample_table(m, stream_rng(3, i)).accepted for i in range(n))
     se = math.sqrt(exact * (1.0 - exact) / n)
     assert abs(hits / n - exact) < 4.0 * se
 

@@ -16,3 +16,31 @@ def test_no_module_imports_another_modules_private_name():
                           f"{node.module or ''} import {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_relative_import_names_the_defining_module():
+    # a name is imported from its home, not through a module that imports it
+    defined = {path.stem: _defined_names(ast.parse(path.read_text(), str(path)))
+               for path in SRC.glob("*.py")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{path.name}: from .{node.module} import {alias.name}"
+                          for alias in node.names
+                          if alias.name not in defined[node.module]]
+    assert found == []

@@ -19,7 +19,7 @@ from cptables import (
     semimagic_margins,
 )
 from cptables.oracle import EnumerationBudgetError
-from cptables.sis import PROPOSALS
+from cptables.layers import PROPOSALS
 
 KNOWN_COUNTS = {
     "ex5_1": 12,

@@ -16,7 +16,9 @@ from cptables import (
     MarginalSet,
     MarginalValidationError,
     SisConfig,
+    WalkOptionError,
     draw_accepted_tables,
+    estimate_table_count,
     exact_count,
     expand_paths,
     fixture,
@@ -29,7 +31,8 @@ from cptables import (
 )
 from cptables.cpdist import UniformBlocks, cp_draft_sample
 from cptables.estimator import estimate_log_count
-from cptables.sis import PROPOSALS, _per_sample_rng, _rng_chooser
+from cptables.layers import PROPOSALS
+from cptables.sis import _rng_chooser, stream_rng
 
 
 def test_sis_config_validation():
@@ -37,10 +40,11 @@ def test_sis_config_validation():
         SisConfig(samples=0)
     with pytest.raises(ValueError):
         SisConfig(samples=10, workers=0)
-    with pytest.raises(ValueError):
-        SisConfig(samples=10, layer_axis=-1)
-    with pytest.raises(ValueError):
-        SisConfig(samples=10, proposal="unknown")
+    # the walk options are checked by each chunk's Walk.prepare
+    with pytest.raises(WalkOptionError):
+        run_sis(fixture("ex5_2"), SisConfig(samples=10, layer_axis=-1))
+    with pytest.raises(WalkOptionError):
+        run_sis(fixture("ex5_2"), SisConfig(samples=10, proposal="unknown"))
     assert set(PROPOSALS) == {"classic", "guided"}
 
 
@@ -74,15 +78,15 @@ def test_per_sample_streams_are_independent_of_position():
     short = run_sis(m, SisConfig(samples=50, seed=9))
     long = run_sis(m, SisConfig(samples=120, seed=9))
     assert np.array_equal(short, long[:50])
-    g1 = _per_sample_rng(9, 17).random(3)
-    g2 = _per_sample_rng(9, 17).random(3)
+    g1 = stream_rng(9, 17).random(3)
+    g2 = stream_rng(9, 17).random(3)
     assert np.array_equal(g1, g2)
 
 
 def test_sample_table_accepts_valid_tables():
     m = fixture("ex5_2")
     for proposal in PROPOSALS:
-        out = sample_table(m, _per_sample_rng(0, 0), proposal=proposal)
+        out = sample_table(m, stream_rng(0, 0), proposal=proposal)
         assert out.accepted
         got = marginals_of(out.table)
         for a in range(3):
@@ -103,7 +107,7 @@ def test_sample_table_without_a_generator_draws_from_a_fresh_one():
 
 
 def test_sample_table_validates_input():
-    rng = _per_sample_rng(0, 0)
+    rng = stream_rng(0, 0)
     with pytest.raises(ValueError):
         sample_table(fixture("ex5_2"), rng, layer_axis=3)
     with pytest.raises(ValueError):
@@ -113,8 +117,8 @@ def test_sample_table_validates_input():
     two_way = marginals_of(BinaryTable.from_array(np.eye(3, dtype=int)))
     four_way = _multiway_margins("four-way-4-2")
     for m in (two_way, four_way):
-        want = sample_table(m, _per_sample_rng(0, 1))
-        got = sample_table(m, _per_sample_rng(0, 1), layer_axis=5)
+        want = sample_table(m, stream_rng(0, 1))
+        got = sample_table(m, stream_rng(0, 1), layer_axis=5)
         assert got.accepted == want.accepted
         assert got.reject_stage == want.reject_stage
         if want.accepted:
@@ -131,7 +135,7 @@ def test_layer_axis_choices_stay_unbiased():
         est = math.exp(estimate_log_count(lw))
         assert abs(est - 5.0) / 5.0 < 0.05
         for i in np.flatnonzero(np.isfinite(lw))[:5]:
-            out = sample_table(m, _per_sample_rng(21, int(i)), layer_axis=axis)
+            out = sample_table(m, stream_rng(21, int(i)), layer_axis=axis)
             got = marginals_of(out.table)
             for a in range(3):
                 assert np.array_equal(got.margins[a], m.margins[a])
@@ -165,7 +169,7 @@ def test_sample_table_general_engine():
     m = marginals_of(BinaryTable.from_array(cells))
     truth = exact_count(m)
     assert truth >= 1
-    outs = [sample_table(m, _per_sample_rng(5, i)) for i in range(3000)]
+    outs = [sample_table(m, stream_rng(5, i)) for i in range(3000)]
     for out in outs[:5]:
         if out.accepted:
             got = marginals_of(out.table)
@@ -181,7 +185,7 @@ def test_sample_table_covers_two_way_tables():
     cols = np.array([1, 2, 2])
     m2 = MarginalSet(Dims((3, 3)), (cols, rows))
     truth = exact_count(m2)
-    outs = [sample_table(m2, _per_sample_rng(1, i)) for i in range(4000)]
+    outs = [sample_table(m2, stream_rng(1, i)) for i in range(4000)]
     lw = np.array([-o.log_q if o.accepted else -np.inf for o in outs])
     est = math.exp(estimate_log_count(lw))
     assert abs(est - truth) / truth < 0.1
@@ -192,7 +196,7 @@ def test_infeasible_margins_reject_every_proposal():
     sj = [[1, 1], [1, 1]]
     sk = [[2, 0], [0, 2]]
     m = marginals3(si, sj, sk)
-    out = sample_table(m, _per_sample_rng(0, 0))
+    out = sample_table(m, stream_rng(0, 0))
     assert not out.accepted
     assert out.reject_stage == "initial-reduction"
     lw = run_sis(m, SisConfig(samples=20, seed=0))
@@ -213,6 +217,12 @@ def test_draw_accepted_tables_reproducible_and_budgeted():
     assert outs == [] and attempts == 30
     with pytest.raises(ValueError):
         draw_accepted_tables(m, 0)
+
+
+@pytest.mark.parametrize("max_attempts", [0, -4])
+def test_draw_accepted_tables_rejects_a_budget_below_one(max_attempts):
+    with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+        draw_accepted_tables(fixture("ex5_6"), 2, max_attempts=max_attempts)
 
 
 def test_margin_check_survives_python_O():
@@ -257,7 +267,7 @@ def test_log_q_overshoot_is_clamped_only_within_tolerance():
     m = fixture("ex5_2")
 
     def overshooting(per_draw):
-        base = _rng_chooser(_per_sample_rng(0, 0))
+        base = _rng_chooser(stream_rng(0, 0))
 
         def choose(weights, size):
             chosen, _ = base(weights, size)
@@ -369,16 +379,16 @@ def test_generator_calls_concatenate_and_blocks_keep_the_stream():
     # random(a) then random(b) gives the bits of one random(a + b): what
     # lets a proposal take its uniforms in blocks
     for index in range(5):
-        whole = _per_sample_rng(3, index).random(40)
-        rng = _per_sample_rng(3, index)
+        whole = stream_rng(3, index).random(40)
+        rng = stream_rng(3, index)
         parts = np.concatenate([rng.random(k) for k in (7, 0, 13, 1, 19)])
         assert parts.tobytes() == whole.tobytes()
     # the same through UniformBlocks (blocks of 64), with requests that
     # straddle a refill, end a block exactly and exceed a whole block
     sizes = [3, 7, 50, 0, 1, 7, 60, 5, 100, 4, 23, 64, 9]
     for index in range(5):
-        ref = _per_sample_rng(9, index)
-        blocks = UniformBlocks(_per_sample_rng(9, index))
+        ref = stream_rng(9, index)
+        blocks = UniformBlocks(stream_rng(9, index))
         for k in sizes:
             got = blocks.random(k)
             assert type(got) is list and len(got) == k
@@ -403,13 +413,13 @@ def test_block_chooser_matches_a_fresh_generator_call_per_line(name):
     m = _survey_margins(4) if name == "survey" else fixture(name)
     for proposal in PROPOSALS:
         for i in range(50):
-            rng = _per_sample_rng(13, i)
+            rng = stream_rng(13, i)
 
             def per_line(weights, size):
                 return cp_draft_sample(weights, size, rng)
 
             want = sample_table(m, proposal=proposal, _choose=per_line)
-            got = sample_table(m, _per_sample_rng(13, i), proposal=proposal)
+            got = sample_table(m, stream_rng(13, i), proposal=proposal)
             assert got.accepted == want.accepted
             assert got.reject_stage == want.reject_stage
             if want.accepted:
@@ -437,7 +447,7 @@ def test_a_proposal_calls_the_traced_draw_and_line_weights(monkeypatch):
                 for key, val in list(vars(mod).items()):
                     if val is fn:
                         monkeypatch.setattr(mod, key, counted)
-    out = sample_table(fixture("semimagic-4-1"), _per_sample_rng(0, 0))
+    out = sample_table(fixture("semimagic-4-1"), stream_rng(0, 0))
     assert out.accepted
     assert calls["cp_draft_sample"] == calls["line_weights"] > 0
 
@@ -460,7 +470,7 @@ def test_reject_stages_are_pinned(name, proposal):
     m = _survey_margins(4) if name == "survey" else fixture(name)
     h = hashlib.sha256()
     for i in range(300):
-        stage = sample_table(m, _per_sample_rng(17, i),
+        stage = sample_table(m, stream_rng(17, i),
                              proposal=proposal).reject_stage
         if stage:
             h.update(f"{i} {stage}\n".encode())
@@ -471,7 +481,7 @@ def test_a_draw_that_finds_no_subset_names_its_layer_and_line():
     from cptables.cpdist import CPInfeasibleError
 
     for proposal in PROPOSALS:
-        base = _rng_chooser(_per_sample_rng(17, 0))
+        base = _rng_chooser(stream_rng(17, 0))
         draws = []
 
         def failing_fifth(weights, size):
@@ -502,3 +512,43 @@ def test_walk_entry_points_reject_invalid_margins_first(call):
     with pytest.raises(MarginalValidationError) as err:
         call(INVALID_MARGINS)
     assert err.value.kind == "total"
+
+
+WALK_ENTRY_POINTS = {
+    "sample_table": lambda m, axis, proposal: sample_table(
+        m, np.random.default_rng(0), layer_axis=axis, proposal=proposal),
+    "draw_accepted_tables": lambda m, axis, proposal: draw_accepted_tables(
+        m, 1, layer_axis=axis, proposal=proposal),
+    "expand_paths": lambda m, axis, proposal: expand_paths(
+        m, layer_axis=axis, proposal=proposal),
+    "run_sis-1": lambda m, axis, proposal: run_sis(
+        m, SisConfig(samples=4, layer_axis=axis, proposal=proposal)),
+    "run_sis-2": lambda m, axis, proposal: run_sis(
+        m, SisConfig(samples=4, layer_axis=axis, proposal=proposal, workers=2)),
+    "estimate_table_count": lambda m, axis, proposal: estimate_table_count(
+        m, 4, layer_axis=axis, proposal=proposal),
+}
+
+# small tables of each d; the walk's option rule runs before any draw
+OPTION_MARGINS = {
+    2: marginals_of(BinaryTable.from_array(np.eye(3, dtype=int))),
+    3: marginals3([[1, 1], [1, 1]], [[1, 1], [1, 1]], [[1, 1], [1, 1]]),
+    4: marginals_of(BinaryTable.from_array(np.eye(4, dtype=int).reshape(2, 2, 2, 2))),
+}
+
+BAD_WALK_OPTIONS = [
+    *[(d, -1, "classic", ("layer_axis", "must be >= 0, got -1")) for d in (2, 3, 4)],
+    (3, 3, "classic", ("layer_axis", "must be 0, 1 or 2 for a three-way table, got 3")),
+    *[(d, 0, "unknown", ("proposal", "must be one of ('classic', 'guided')"))
+      for d in (2, 3, 4)],
+]
+
+
+@pytest.mark.parametrize("entry", list(WALK_ENTRY_POINTS))
+@pytest.mark.parametrize("d, axis, proposal, args", BAD_WALK_OPTIONS,
+                         ids=[f"d{d}-axis{a}-{p}" for d, a, p, _ in BAD_WALK_OPTIONS])
+def test_walk_entry_points_share_one_option_rule(entry, d, axis, proposal, args):
+    with pytest.raises(WalkOptionError) as err:
+        WALK_ENTRY_POINTS[entry](OPTION_MARGINS[d], axis, proposal)
+    assert type(err.value) is WalkOptionError and err.value.args == args
+    assert str(err.value) == " ".join(args)
