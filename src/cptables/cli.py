@@ -228,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--layer-axis", type=int, default=0, dest="layer_axis")
         sp.add_argument("--proposal", choices=PROPOSALS, default="classic",
-                        help="proposal preset (see cptables.sis)")
+                        help="proposal preset (see cptables.layers.Walk)")
 
     sp = sub.add_parser("estimate", help="SIS estimate of the number of tables")
     add_input(sp)

@@ -14,10 +14,15 @@ not a rule of its own.  The saturation rule can be masked mid-sampling
 (one flag, `masked`, for every line): a line with zs == 0 and rs >= 2 then
 stays open, and the sampler resolves its cells at draw time as certain
 inclusions (see layers.Walk for the proposal presets built on this); at
-rs == 1 it is filled all the same.  The same propagation engine drives the SIS
-sampler (re-reduction after every sampled column), the exact enumerator,
-and the path expander (both via an undo trail), so it is written as a
-worklist over flat line ids rather than array scans.
+rs == 1 it is filled all the same.  Such a line goes on the state's held
+record as (trail length, line id) when propagation leaves it open, and
+close_saturated seeds the record's lines still saturated, not a scan of
+every line: a line only becomes saturated by a placement that queues it.
+undo_to(mark) drops the entries made past the mark, whose placements it
+rewinds; copy() keeps the record at position 0.  The same propagation
+engine drives the SIS sampler (re-reduction after every sampled column),
+the exact enumerator and the path expander (both via an undo trail), so it
+is written as a worklist over flat line ids rather than array scans.
 
 TableState.propagate makes every placement of a walk in one loop: the
 cells of a draw, passed in as its ones and zeros, and the cells the rules
@@ -124,7 +129,7 @@ class TableState:
     rejects the whole proposal.
     """
 
-    __slots__ = ("geo", "cells", "rs", "zs", "trail")
+    __slots__ = ("geo", "cells", "rs", "zs", "trail", "held")
 
     def __init__(self, geo: _Geometry, rs: list[int]):
         self.geo = geo
@@ -132,6 +137,7 @@ class TableState:
         self.rs = rs
         self.zs = [len(geo.line_cells[l]) - r for l, r in enumerate(rs)]
         self.trail: list[int] = []
+        self.held: list[tuple[int, int]] = []
 
     @classmethod
     def from_marginals(cls, m: MarginalSet) -> "TableState":
@@ -203,9 +209,11 @@ class TableState:
                     if z:
                         v, count, other = 0, zs, rs
                         break
-                elif z == 0 and (r == 1 or not masked):
-                    v, count, other = 1, rs, zs
-                    break
+                elif z == 0:
+                    if r == 1 or not masked:
+                        v, count, other = 1, rs, zs
+                        break
+                    self.held.append((len(trail), lid))
             cids = line_cells[lid]
 
     def initial_reduce(self) -> int:
@@ -215,14 +223,13 @@ class TableState:
     def close_saturated(self) -> int:
         """Full-strength propagation from a fixpoint of the light rules
         (saturation masked): seed only the saturated lines, no zeros left
-        and ones left, in ascending id.  At such a fixpoint no other line
-        can fire until one of its cells is set, which queues it, and the
-        forcing rules are monotone, so the cells and the verdict are those
-        of initial_reduce()."""
-        rs = self.rs
-        return self.propagate(deque([
-            lid for lid, z in enumerate(self.zs) if not z and rs[lid]
-        ]))
+        and ones left, in ascending id, read off the held record.  At such
+        a fixpoint no other line can fire until one of its cells is set,
+        which queues it, and the forcing rules are monotone, so the cells
+        and the verdict are those of initial_reduce()."""
+        rs, zs = self.rs, self.zs
+        return self.propagate(deque(sorted(
+            {lid for _, lid in self.held if not zs[lid] and rs[lid]})))
 
     def copy(self) -> "TableState":
         """The same partial assignment in fresh lists, with an empty trail."""
@@ -232,6 +239,7 @@ class TableState:
         new.rs = self.rs.copy()
         new.zs = self.zs.copy()
         new.trail = []
+        new.held = [(0, lid) for _, lid in self.held]
         return new
 
     def mark(self) -> int:
@@ -249,6 +257,8 @@ class TableState:
             cells[cid] = -1
             for lid in cell_lines[cid]:
                 count[lid] += 1
+        while self.held and self.held[-1][0] > mark:
+            self.held.pop()
 
     def residual_bytes(self) -> bytes:
         """Every line's residual packed at one fixed width, for memo keys.

@@ -437,3 +437,13 @@ def test_exact_enumerate_prints_tables_in_the_sample_layout(capsys):
         "table 2:\n  layer 1:\n"
     )
     assert out.endswith("enumerated: 2\n") and "\n\n" not in out
+
+
+@pytest.mark.parametrize("command", ["estimate", "sample"])
+def test_proposal_help_names_where_the_presets_are_documented(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "proposal preset (see cptables.layers.Walk)" in help_text
+    assert "cptables.sis" not in help_text

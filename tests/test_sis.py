@@ -408,6 +408,35 @@ def _survey_margins(seed, actors=9, relations=4, picks=2):
     return marginals_of(BinaryTable.from_array(cells))
 
 
+# run_sis and draw_accepted_tables digests on a survey-shaped input, 10
+# actors x 10 x 4 relations with 2 picks: layers of 10 lines, rejections
+# and non-empty layer-end passes under classic; recorded before the walk
+# seeded its layer-end pass from the held record and took its argmax over
+# a slice, both of which must keep every bit
+SURVEY_DIGESTS = {
+    ("classic", 0): ("c3b3afb2fd53d92726732a7504c6aa3e4b654c2ccd0750198e1693e794328488",
+                     "63382761c130359699842d0ed33f70c97879fac27e92aa94a4b3fdd068e75a05"),
+    ("classic", 1): ("da9c750c84319f344e447ea4875c9c9efd8243e200ee5a7e37b5dea6967a95b4",
+                     "f137c077201acceae9756b5778b0bbea5619c980eeeb1d78779b3dbfea3e3e02"),
+    ("classic", 2): ("484693460ccc1b283606e46283ff9f28191111ebb29138acfd4901a131628f8f",
+                     "e418fc2f950a223e1dc64219654ffc95711c406f1753c4548de1107456d60fa2"),
+    ("guided", 0): ("b3d8b3961dbfaa3f29e8775bb08024569a0f4b710c134859e0a7e93c99d762bf",
+                    "b784c1aa21a93f9417cca1fa4a450ba4bd06b073a14dbc746d47f117a7faeba4"),
+    ("guided", 1): ("de9a2dee72b63ae044df164a409df29c69fb32c2c5a4b2a6c875a6eb3fb8a443",
+                    "8948d36e79ea5b41dda2bc8f281354a7503925b6e56185cdd40cd7ed9a7b6b52"),
+    ("guided", 2): ("eb3b76bb001def70966e1b4e4e2180eb22995eda0afae6c991d69b0959fefc76",
+                    "9d8e8db6ef041b7cd4a7b65c99412af3c447ba295a87a7de343826289c4a8f5c"),
+}
+
+
+@pytest.mark.parametrize("proposal,axis", sorted(SURVEY_DIGESTS))
+def test_survey_walk_is_pinned_bit_for_bit(proposal, axis):
+    m = _survey_margins(3, actors=10, relations=4, picks=2)
+    weights, accepted = SURVEY_DIGESTS[proposal, axis]
+    assert _weights_digest([m], proposal, axis) == weights
+    assert _accepted_digest(m, proposal, axis) == accepted
+
+
 @pytest.mark.parametrize("name", ["semimagic-7-3", "survey"])
 def test_block_chooser_matches_a_fresh_generator_call_per_line(name):
     m = _survey_margins(4) if name == "survey" else fixture(name)
