@@ -5,11 +5,7 @@ A three-way table's layers are its slices along the first axis, each made
 of its lines along the last axis.  Any other table is a single layer made
 of every line along its last axis.  next_layer picks the layer with the
 most ones left (ties to the smallest index); next_line picks, inside it,
-the line with the largest residual sum (ties to the smallest id).  Both
-take max and list.index over the residuals (per-layer sums in next_layer)
-and assume a fixpoint, where a line with no ones left has no free cells:
-a max above 0 is open.  At 0 they fall back to the first line (layer)
-with free cells but no ones left, the same choice off a fixpoint.  Each
+the line with the largest residual sum (ties to the smallest id).  Each
 line is one conditional Poisson draw whose weights come from the residual
 cross margins:
 
@@ -163,34 +159,39 @@ def next_layer(state: TableState) -> int:
     once every layer is fully determined."""
     nlayers, n = layer_shape(state.geo)
     lo = state.geo.offset[-1]
-    ones_left = list(map(sum, zip(*[iter(state.rs[lo:])] * n)))
-    best = max(ones_left)
-    if best > 0:
-        return ones_left.index(best)
-    return next((i for i in range(nlayers) if ones_left[i] == 0
-                 and any(state.zs[lo + i * n:lo + i * n + n])), -1)
-
-
-def layer_span(geo, layer: int) -> tuple[int, int]:
-    """The first line id of a layer and the one past its last."""
-    n = layer_shape(geo)[1]
-    lo = geo.offset[-1] + layer * n
-    return lo, lo + n
+    rs = state.rs
+    zs = state.zs
+    best_i = -1
+    best_ones = -1
+    for i in range(nlayers):
+        hi = lo + n
+        ones_left = sum(rs[lo:hi])
+        if ones_left > best_ones and (ones_left or any(zs[lo:hi])):
+            best_ones = ones_left
+            best_i = i
+        lo = hi
+    return best_i
 
 
 def next_line(state: TableState, layer: int) -> int:
     """The open line of a layer with the largest residual sum, ties to the
     smallest id; -1 once every line of the layer is filled."""
-    return _next_line_in(state, *layer_span(state.geo, layer))
+    n = layer_shape(state.geo)[1]
+    lo = state.geo.offset[-1] + layer * n
+    return _next_line_in(state, lo, lo + n)
 
 
 def _next_line_in(state: TableState, lo: int, hi: int) -> int:
-    residuals = state.rs[lo:hi]
-    best = max(residuals)
-    if best > 0:
-        return lo + residuals.index(best)
-    return next((lo + i for i, r in enumerate(residuals)
-                 if r == 0 and state.zs[lo + i]), -1)
+    rs = state.rs
+    zs = state.zs
+    best_lid = -1
+    best_rs = -1
+    for lid in range(lo, hi):
+        r = rs[lid]
+        if r > best_rs and (r or zs[lid]):
+            best_rs = r
+            best_lid = lid
+    return best_lid
 
 
 def line_weights(
@@ -278,9 +279,10 @@ def sample_layer(
     """
     log_q = 0.0
     stage = f"layer={layer}"
-    lo, hi = layer_span(state.geo, layer)
+    n = layer_shape(state.geo)[1]
+    lo = state.geo.offset[-1] + layer * n
     while True:
-        lid = _next_line_in(state, lo, hi)
+        lid = _next_line_in(state, lo, lo + n)
         if lid < 0:
             return log_q
         log_q += draw_line(state, lid, choose, stage, masked)

@@ -14,15 +14,13 @@ not a rule of its own.  The saturation rule can be masked mid-sampling
 (one flag, `masked`, for every line): a line with zs == 0 and rs >= 2 then
 stays open, and the sampler resolves its cells at draw time as certain
 inclusions (see layers.Walk for the proposal presets built on this); at
-rs == 1 it is filled all the same.  Such a line goes on the state's held
-record as (trail length, line id) when propagation leaves it open, and
-close_saturated seeds the record's lines still saturated, not a scan of
-every line: a line only becomes saturated by a placement that queues it.
-undo_to(mark) drops the entries made past the mark, whose placements it
-rewinds; copy() keeps the record at position 0.  The same propagation
-engine drives the SIS sampler (re-reduction after every sampled column),
-the exact enumerator and the path expander (both via an undo trail), so it
-is written as a worklist over flat line ids rather than array scans.
+rs == 1 it is filled all the same.  Propagation puts such a line on the
+state's held record as (trail length, line id), which close_saturated
+seeds from; undo_to(mark) drops the entries made past the mark and copy()
+keeps the rest at position 0.  The same propagation engine drives the SIS
+sampler (re-reduction after every sampled column), the exact enumerator
+and the path expander (both via an undo trail), so it is written as a
+worklist over flat line ids rather than array scans.
 
 TableState.propagate makes every placement of a walk in one loop: the
 cells of a draw, passed in as its ones and zeros, and the cells the rules
@@ -223,10 +221,11 @@ class TableState:
     def close_saturated(self) -> int:
         """Full-strength propagation from a fixpoint of the light rules
         (saturation masked): seed only the saturated lines, no zeros left
-        and ones left, in ascending id, read off the held record.  At such
-        a fixpoint no other line can fire until one of its cells is set,
-        which queues it, and the forcing rules are monotone, so the cells
-        and the verdict are those of initial_reduce()."""
+        and ones left, in ascending id.  At such a fixpoint no other line
+        can fire until one of its cells is set, which queues it, and the
+        forcing rules are monotone, so the cells and the verdict are those
+        of initial_reduce().  The held record stands in for a scan of every
+        line: the placement that saturates a line queues it."""
         rs, zs = self.rs, self.zs
         return self.propagate(deque(sorted(
             {lid for _, lid in self.held if not zs[lid] and rs[lid]})))

@@ -283,74 +283,3 @@ def test_line_weights_matches_the_float_product_reference(shape):
             seen["zero"] += weights.count(0.0)
             seen["odds"] += len(weights) - weights.count(0.0)
     assert min(seen.values()) > 0, seen
-
-
-def _reference_next_layer(state):
-    """next_layer as a loop over the layers with an open test on each, the
-    specification of the argmax over per-layer totals."""
-    nlayers, n = layer_shape(state.geo)
-    lo = state.geo.offset[-1]
-    rs, zs = state.rs, state.zs
-    best_i = best_ones = -1
-    for i in range(nlayers):
-        hi = lo + n
-        ones_left = sum(rs[lo:hi])
-        if ones_left > best_ones and (ones_left or any(zs[lo:hi])):
-            best_ones, best_i = ones_left, i
-        lo = hi
-    return best_i
-
-
-def _reference_next_line(state, layer):
-    """next_line as a loop over the layer's lines with an open test on
-    each, the specification of the argmax over the layer's residuals."""
-    n = layer_shape(state.geo)[1]
-    lo = state.geo.offset[-1] + layer * n
-    rs, zs = state.rs, state.zs
-    best_lid = best_rs = -1
-    for lid in range(lo, lo + n):
-        if rs[lid] > best_rs and (rs[lid] or zs[lid]):
-            best_rs, best_lid = rs[lid], lid
-    return best_lid
-
-
-def _check_choices(seed) -> int:
-    """Fill a random d = 2, 3 or 4 table a few cells at a time, following
-    the table its margins came from but now and then placing a wrong value,
-    and compare next_layer and next_line with the loops at every step.
-    Every other step propagates to a fixpoint (masked or not); the others
-    leave set_cell's placements unpropagated, where a layer can have lines
-    with no ones but free cells left.  Returns how many compared layers had
-    no line with ones left while some line was still open."""
-    rng = np.random.default_rng(seed)
-    d = int(rng.integers(2, 5))
-    sizes = tuple(int(s) for s in rng.integers(2, {2: 7, 3: 5, 4: 4}[d], size=d))
-    table = (rng.random(sizes) < rng.uniform(0.2, 0.8)).astype(int)
-    state = _state_of(table)
-    truth = table.ravel().tolist()
-    masked = d == 3 and rng.random() < 0.5
-    fallbacks = 0
-    for step in range(state.geo.ncells):
-        nlayers, n = layer_shape(state.geo)
-        assert next_layer(state) == _reference_next_layer(state)
-        for layer in range(nlayers):
-            got = next_line(state, layer)
-            assert got == _reference_next_line(state, layer)
-            lo = state.geo.offset[-1] + layer * n
-            fallbacks += max(state.rs[lo:lo + n]) <= 0 and got >= 0
-        free_cids = [c for c, v in enumerate(state.cells) if v < 0]
-        if not free_cids:
-            break
-        pending = deque()
-        for cid in rng.choice(free_cids, min(len(free_cids), 2),
-                              replace=False).tolist():
-            value = truth[cid] if rng.random() < 0.9 else 1 - truth[cid]
-            state.set_cell(cid, value, pending)
-        if step % 2 and state.propagate(pending, masked) >= 0:
-            break
-    return fallbacks
-
-
-def test_next_line_and_next_layer_match_the_loops():
-    fallbacks = sum(_check_choices(seed) for seed in range(150))
-    assert fallbacks >= 20
