@@ -14,10 +14,10 @@ not a rule of its own.  The saturation rule can be masked mid-sampling
 (one flag, `masked`, for every line): a line with zs == 0 and rs >= 2 then
 stays open, and the sampler resolves its cells at draw time as certain
 inclusions (see layers.Walk for the proposal presets built on this); at
-rs == 1 it is filled all the same.  Propagation puts such a line on the
-state's held record as (trail length, line id), which close_saturated
-seeds from; undo_to(mark) drops the entries made past the mark and copy()
-keeps the rest at position 0.  The same propagation engine drives the SIS
+rs == 1 it is filled all the same.  Propagation adds such a line to the
+state's held set, which close_saturated seeds from; copy() keeps it and
+undo_to leaves it, since the pass reads only the lines that are still
+saturated among it.  The same propagation engine drives the SIS
 sampler (re-reduction after every sampled column), the exact enumerator
 and the path expander (both via an undo trail), so it is written as a
 worklist over flat line ids rather than array scans.
@@ -135,7 +135,7 @@ class TableState:
         self.rs = rs
         self.zs = [len(geo.line_cells[l]) - r for l, r in enumerate(rs)]
         self.trail: list[int] = []
-        self.held: list[tuple[int, int]] = []
+        self.held: set[int] = set()
 
     @classmethod
     def from_marginals(cls, m: MarginalSet) -> "TableState":
@@ -211,7 +211,7 @@ class TableState:
                     if r == 1 or not masked:
                         v, count, other = 1, rs, zs
                         break
-                    self.held.append((len(trail), lid))
+                    self.held.add(lid)
             cids = line_cells[lid]
 
     def initial_reduce(self) -> int:
@@ -224,11 +224,11 @@ class TableState:
         and ones left, in ascending id.  At such a fixpoint no other line
         can fire until one of its cells is set, which queues it, and the
         forcing rules are monotone, so the cells and the verdict are those
-        of initial_reduce().  The held record stands in for a scan of every
+        of initial_reduce().  The held set stands in for a scan of every
         line: the placement that saturates a line queues it."""
         rs, zs = self.rs, self.zs
         return self.propagate(deque(sorted(
-            {lid for _, lid in self.held if not zs[lid] and rs[lid]})))
+            [lid for lid in self.held if not zs[lid] and rs[lid]])))
 
     def copy(self) -> "TableState":
         """The same partial assignment in fresh lists, with an empty trail."""
@@ -238,7 +238,7 @@ class TableState:
         new.rs = self.rs.copy()
         new.zs = self.zs.copy()
         new.trail = []
-        new.held = [(0, lid) for _, lid in self.held]
+        new.held = self.held.copy()
         return new
 
     def mark(self) -> int:
@@ -256,8 +256,6 @@ class TableState:
             cells[cid] = -1
             for lid in cell_lines[cid]:
                 count[lid] += 1
-        while self.held and self.held[-1][0] > mark:
-            self.held.pop()
 
     def residual_bytes(self) -> bytes:
         """Every line's residual packed at one fixed width, for memo keys.

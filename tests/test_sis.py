@@ -411,7 +411,7 @@ def _survey_margins(seed, actors=9, relations=4, picks=2):
 # run_sis and draw_accepted_tables digests on a survey-shaped input, 10
 # actors x 10 x 4 relations with 2 picks: layers of 10 lines, rejections
 # and non-empty layer-end passes under classic; recorded before the
-# layer-end pass was seeded from the held record, which must keep every bit
+# layer-end pass was seeded from the held set, which must keep every bit
 SURVEY_DIGESTS = {
     ("classic", 0): ("c3b3afb2fd53d92726732a7504c6aa3e4b654c2ccd0750198e1693e794328488",
                      "63382761c130359699842d0ed33f70c97879fac27e92aa94a4b3fdd068e75a05"),
