@@ -12,7 +12,6 @@ from .cpdist import (
     CPInfeasibleError,
     cp_draft_sample,
     cp_log_pmf,
-    log_esym,
     log_esym_table,
 )
 from .estimator import (
@@ -89,7 +88,6 @@ __all__ = [
     "format_count_from_log",
     "format_marginals",
     "line_weights",
-    "log_esym",
     "log_esym_table",
     "marginals3",
     "marginals_of",

@@ -109,11 +109,6 @@ def log_esym_table(w, smax: int) -> list[float]:
             for s, col in enumerate(cols)]
 
 
-def log_esym(w, s: int) -> float:
-    """log R(s, w) for a single degree s."""
-    return log_esym_table(w, s)[s]
-
-
 def cp_log_pmf(w, size: int, subset) -> float:
     """Exact log probability of drawing `subset` (item indices) from the CP
     distribution over size-`size` subsets with weights w: the log_prob

@@ -20,28 +20,27 @@ branching ^ depth: inconsistent branches die quickly under propagation.
 Still, keep this to desk-scale problems; max_leaves guards the walk.
 
 The walk is memoized.  Below a node the subtree depends only on the current
-layer, which cells are still free and every line's residual: the values
-already placed act only through the residuals.  Keyed by those as bytes,
-each node is expanded once and stored as its edges (branch log probability,
-the cells the branch sets to one, the child node).  A later node with the
-same key replays the stored edges with no propagation, passing the table
-down as an int with one byte per cell.  Replay folds log q edge by edge and
-emits accepts and rejects in the walk's order, so every q, the reject mass,
-the leaf count and the budget checks are bit-for-bit those of the plain
-walk.  On semimagic-4-2 the memo holds a few thousand nodes and adds about
-3 MB to the 9 MB of reached tables.
+layer, which cells are still free and every line's residual (see
+TableState.memo_key).  Keyed by those as bytes, each node is expanded once
+and stored as its edges (branch log probability, the cells the branch sets
+to one, the child node).  A later node with the same key replays the stored
+edges with no propagation, passing the table down as an int with one byte
+per cell.  Replay folds log q edge by edge and emits accepts and rejects in
+the walk's order, so every q, the reject mass, the leaf count and the
+budget checks are bit-for-bit those of the plain walk.  On semimagic-4-2
+the memo holds a few thousand nodes and adds about 3 MB to the 9 MB of
+reached tables.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import combinations
 import math
 
 import numpy as np
 
-from .cpdist import log_esym
+from .cpdist import log_esym_table
 from .layers import Walk, layer_shape, line_weights, next_layer, next_line, set_line
 from .oracle import EnumerationBudgetError
 from .tables import Dims, InvariantError, MarginalSet
@@ -53,8 +52,6 @@ from .tables import Dims, InvariantError, MarginalSet
 # table, _REJECT a node that dies on entry.
 _ACCEPT = ()
 _REJECT = ((None, 0, None),)
-# memo keys mark free cells (-1, byte 0xff) with 1 and set cells with 0
-_FREE = bytes(255) + b"\x01"
 
 
 @dataclass(frozen=True)
@@ -185,8 +182,7 @@ def _expand(walk: Walk, max_leaves: int) -> tuple[dict[bytes, float], float, int
         """Enter the node below the current state: replay it if its key is
         in the memo, else expand it, store it and return it."""
         check_budget()
-        key = (layer_tag[layer + 1] + state.residual_bytes()
-               + array("b", state.cells).tobytes().translate(_FREE))
+        key = layer_tag[layer + 1] + state.memo_key()
         node = memo.get(key)
         if node is not None:
             replay(node, out, logp)
@@ -219,7 +215,7 @@ def _expand(walk: Walk, max_leaves: int) -> tuple[dict[bytes, float], float, int
             else:
                 # CP pmf of each subset: sum of its log weights minus log
                 # R, with R and the logs computed once per line
-                log_r = log_esym(weights, size)
+                log_r = log_esym_table(weights, size)[size]
                 log_w = [math.log(w) if w > 0 else -math.inf for w in weights]
                 edges = []
                 for picked in combinations(positives, size):

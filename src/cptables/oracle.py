@@ -6,18 +6,18 @@ whose residuals turn infeasible is cut immediately.  Counts are plain
 Python integers, so they stay exact at any magnitude.
 
 The counter memoizes: below a node every cell before the cursor is set, so
-the number of completions depends only on the cells from the cursor on and
-the residual margins.  Keyed by those as bytes, each subtree's count is
-stored when it closes and reused on a hit.  The memo grows with the
-expanded nodes (about 7 MB on semimagic-5-1, the 161280 order-5 Latin
-squares).  The enumerator keeps the plain search: it must visit every table.
-Desk scale only: the node budget guards against accidentally launching an
-astronomically large search, and so also bounds the counter's memo.
+the number of completions depends only on which cells from the cursor on
+are free and on the residual margins (see TableState.memo_key).  Keyed by
+those as bytes, each subtree's count is stored when it closes and reused on
+a hit.  The memo grows with the expanded nodes (about 7 MB on
+semimagic-5-1, the 161280 order-5 Latin squares).  The enumerator keeps the
+plain search: it must visit every table.  Desk scale only: the node budget
+guards against accidentally launching an astronomically large search, and
+so also bounds the counter's memo.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 
 from .reduction import TableState
@@ -67,9 +67,7 @@ def exact_count(m: MarginalSet, budget: int | None = None) -> int:
         if nxt == ncells:
             count += 1
         elif nxt >= 0:
-            # rs packs to a fixed width, so the key's length pins the cursor
-            key = (array("b", state.cells[nxt:]).tobytes()
-                   + state.residual_bytes())
+            key = state.memo_key(nxt)  # its length pins the cursor
             hit = memo.get(key)
             if hit is None:
                 stack.append((nxt, 0, branch_mark, key, count))

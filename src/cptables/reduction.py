@@ -51,6 +51,9 @@ import numpy as np
 
 from .tables import MarginalSet
 
+# memo keys mark free cells (-1, byte 0xff) with 1 and set cells with 0
+_FREE = bytes(255) + b"\x01"
+
 
 class _Geometry:
     """Static line tables for one table shape.
@@ -257,10 +260,19 @@ class TableState:
             for lid in cell_lines[cid]:
                 count[lid] += 1
 
-    def residual_bytes(self) -> bytes:
-        """Every line's residual packed at one fixed width, for memo keys.
-        Residuals are in [0, line length] at a fixpoint."""
-        return array(self.geo.rs_code, self.rs).tobytes()
+    def memo_key(self, start: int = 0) -> bytes:
+        """A search node's identity, the exact counter's and the path
+        expander's memo key: every line's residual (in [0, line length] at
+        a fixpoint) at one fixed width, so the key's length pins `start`,
+        then the cells from `start` on as 1 free / 0 set.  Below a fixpoint
+        whose cells before `start` are all set, the subtree depends only on
+        these: a placed value acts on the search only through its lines'
+        residuals, and a line's zeros left are its free cells minus its
+        residual.  The expander puts its walk's layer in front."""
+        return (array(self.geo.rs_code, self.rs).tobytes()
+                + array("b", self.cells[start:]).tobytes().translate(_FREE))
 
     def cells_array(self) -> np.ndarray:
-        return np.asarray(self.cells, dtype=np.int8).reshape(self.geo.sizes)
+        """The cells as a read-only int8 array of the table's shape."""
+        return np.frombuffer(array("b", self.cells).tobytes(),
+                             np.int8).reshape(self.geo.sizes)

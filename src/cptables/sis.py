@@ -78,9 +78,8 @@ _LOG_Q_OVERSHOOT_TOL = 1e-12
 
 def _finish(walk: Walk, state: TableState, log_q: float) -> SampleOutcome:
     try:
-        # bytes() rejects a cell still free (-1); BinaryTable any other
-        # value outside {0, 1}
-        cells = np.frombuffer(bytes(state.cells), np.int8).reshape(walk.m.dims.sizes)
+        # BinaryTable rejects any cell outside {0, 1}, a free one (-1) too
+        cells = state.cells_array()
         table = BinaryTable(walk.dims, walk.turn_back(cells))
     except ValueError:
         raise InvariantError("sampled table has a cell outside {0, 1}") from None

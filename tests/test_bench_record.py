@@ -67,11 +67,26 @@ def test_summarize_counts_wins_and_applies_the_gain_and_bound_rules():
 
 def test_fewer_than_ten_pairs_is_a_usage_error():
     try:
-        bench_record.main(["--pairs", "9"])
+        bench_record.main(["--parent", "HEAD", "--pairs", "9"])
     except SystemExit as e:
         assert e.code == 2
     else:
         raise AssertionError("--pairs 9 was accepted")
+
+
+def test_missing_parent_is_a_usage_error_before_any_export(monkeypatch):
+    # a default parent (HEAD's first parent) would measure only a change's
+    # last commit, so the parent must be named
+    touched = []
+    monkeypatch.setattr(bench_record, "make_scratch", lambda base: touched.append(base))
+    monkeypatch.setattr(bench_record, "export", lambda rev, dest: touched.append(rev))
+    try:
+        bench_record.main(["--change", "HEAD"])
+    except SystemExit as e:
+        assert e.code == 2
+    else:
+        raise AssertionError("a record without --parent was started")
+    assert touched == []
 
 
 def test_scratch_directory_is_created_when_missing(tmp_path):

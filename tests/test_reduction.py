@@ -163,10 +163,22 @@ def test_line_id_is_consistent_with_geometry():
             assert geo.cell_lines[cid][axis] == lid
 
 
-def test_residual_bytes_pack_narrow_and_wide():
+def test_memo_key_packs_residuals_then_the_free_pattern():
     narrow = TableState.from_marginals(fixture("ex5_2"))
-    assert len(narrow.residual_bytes()) == narrow.geo.nlines
-    assert array("B", narrow.residual_bytes()).tolist() == narrow.rs
+    nlines = narrow.geo.nlines
+    key = narrow.memo_key()
+    assert array("B", key[:nlines]).tolist() == narrow.rs
+    assert key[nlines:] == bytes([1]) * narrow.geo.ncells
+    # set cells read 0 whatever their value; a nonzero start drops the
+    # cells before it, so the key's length pins the start
+    narrow.cells[3] = 1
+    narrow.cells[5] = 0
+    assert narrow.memo_key()[nlines:] == bytes([1, 1, 1, 0, 1, 0]
+                                                + [1] * (narrow.geo.ncells - 6))
+    tail = narrow.memo_key(4)
+    assert len(tail) == nlines + narrow.geo.ncells - 4
+    assert tail[:nlines] == key[:nlines]
+    assert tail[nlines:] == narrow.memo_key()[nlines + 4:]
     # a 300 x 2 table has lines of 300 cells: residuals up to 300 need a
     # wider code, and still unpack to the residuals
     cells = np.zeros((300, 2), dtype=np.int8)
@@ -176,9 +188,11 @@ def test_residual_bytes_pack_narrow_and_wide():
     assert max(wide.rs) >= 256
     code = wide.geo.rs_code
     assert array(code).itemsize >= 2
-    packed = wide.residual_bytes()
-    assert len(packed) == wide.geo.nlines * array(code).itemsize
+    width = wide.geo.nlines * array(code).itemsize
+    packed = wide.memo_key(wide.geo.ncells)
+    assert len(packed) == width
     assert array(code, packed).tolist() == wide.rs
+    assert wide.memo_key()[width:] == bytes([1]) * wide.geo.ncells
 
 
 def _check_closing_pass(seed, sizes, dens) -> tuple[int, int]:

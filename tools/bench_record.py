@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write a committed benchmark record: paired perfbench runs of two commits.
 
-    python3 tools/bench_record.py [--parent REV] [--change REV] [--pairs 10]
+    python3 tools/bench_record.py --parent REV [--change REV] [--pairs 10]
                                   [--seed 2001] [--scratch DIR] [--out PATH]
 
 Both commits are exported with `git archive` into a fresh temporary
@@ -28,8 +28,9 @@ workload and end-to-end metric:
 plus every run's values, its correct/failed counts, its quality line
 (acceptance, cv^2, ESS/N, log10 estimate) and the first run's header on
 each side (CPU, nproc, Python and numpy versions).  A markdown table of the
-medians is printed at the end.  Defaults: the change is HEAD, the parent
-its first parent.
+medians is printed at the end.  The change defaults to HEAD.  The parent
+has no default: a change made of several commits is measured against the
+commit it starts from, which is not in general HEAD's first parent.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def make_scratch(base: Path | None) -> Path:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--change", default="HEAD")
-    p.add_argument("--parent", default=None, help="default: the change's first parent")
+    p.add_argument("--parent", required=True, help="the commit the change starts from")
     p.add_argument("--pairs", type=int, default=10, help="at least 10")
     p.add_argument("--seed", type=int, default=2001, help="seed of pair 0; pair k uses seed + k")
     p.add_argument("--scratch", type=Path, default=None)
@@ -167,7 +168,7 @@ def main(argv=None) -> int:
         p.error("--pairs must be at least 10")
 
     change = git("rev-parse", args.change)
-    parent = git("rev-parse", args.parent or f"{change}^")
+    parent = git("rev-parse", args.parent)
     workloads = [w["name"] for w in SPEC["workloads"]]
     out = args.out or ROOT / f"BENCH_{change[:7]}.json"
     scratch = make_scratch(args.scratch)
