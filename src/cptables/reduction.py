@@ -273,6 +273,10 @@ class TableState:
                 + array("b", self.cells[start:]).tobytes().translate(_FREE))
 
     def cells_array(self) -> np.ndarray:
-        """The cells as a read-only int8 array of the table's shape."""
-        return np.frombuffer(array("b", self.cells).tobytes(),
-                             np.int8).reshape(self.geo.sizes)
+        """The cells as a read-only int8 array of the table's shape, a
+        free cell as -1."""
+        try:
+            raw = bytes(self.cells)
+        except ValueError:  # bytes() takes no -1: a free cell is left
+            raw = array("b", self.cells).tobytes()
+        return np.frombuffer(raw, np.int8).reshape(self.geo.sizes)

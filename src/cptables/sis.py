@@ -23,17 +23,25 @@ the residual bookkeeping, and it raises InvariantError, so it also runs
 under python -O.  The accepted outcome's table is that same array, turned
 back to the input's axis order.
 
-run_sis derives one RNG stream per sample index from the master seed
-(stream_rng), so results are reproducible and independent of the worker
-count.  Each chunk of proposals (in its own pool worker) prepares one Walk,
-which checks the margins, the layer axis and the preset once; each
-proposal starts from a copy of its reduced root.
+run_sis derives one RNG stream per sample index from the master seed, so
+results are reproducible and independent of the worker count.  Stream i of
+seed s starts in the PCG64 state that
+np.random.PCG64(np.random.SeedSequence(entropy=s, spawn_key=(i,))) starts
+in.  _streams derives that state itself: it mixes the seed's words into
+SeedSequence's pool once, then only each index's words, hashes the pool
+out to PCG64's four seeding words and takes PCG64's seeding step; a chunk
+re-seeds one generator for each proposal rather than building one.  Tests
+check these states against numpy's SeedSequence.  Each chunk of proposals
+(in its own pool worker) prepares one Walk, which checks the margins, the
+layer axis and the preset once; each proposal starts from a copy of its
+reduced root.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+import operator
 
 import numpy as np
 
@@ -136,10 +144,121 @@ def sample_table(
 sample_table3 = sample_table
 
 
+# numpy's SeedSequence hash (a pool of 4 uint32 words) and PCG64's seeding
+# step, which _streams reproduces
+_M32 = 0xFFFF_FFFF
+_M128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mixing words into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hashing the pool out
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int, count: int) -> list[int]:
+    """A hash's first count constants, init * mult**k mod 2**32: call k
+    xors with the k-th and multiplies by the next.  They advance the same
+    way whatever the data is."""
+    h = [init]
+    while len(h) < count:
+        h.append(h[-1] * mult & _M32)
+    return h
+
+
+def _hash(v, xor, mult):
+    """SeedSequence's word hash, on ints or on uint32 arrays."""
+    v = (v ^ xor) * mult & _M32
+    return v ^ v >> 16
+
+
+def _mix(x, y):
+    r = (x * _MIX_L - y * _MIX_R) & _M32
+    return r ^ r >> 16
+
+
+# word t of the seeding words hashes pool word t % 4 with call t's constants
+_OUT_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 9), np.uint32)[:, None]
+
+
+def _uint(n) -> int:
+    n = operator.index(n)  # TypeError for a float, as in SeedSequence
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return n
+
+
+def _seed_pool(seed) -> tuple[list[int], int]:
+    """The pool of SeedSequence(entropy=seed, spawn_key=...) once the
+    seed's words are mixed in, and the number of hash calls made so far.
+    A spawn key pads the seed's words with zeros to the pool's 4."""
+    seed = _uint(seed)
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    h = _hash_consts(_INIT_A, _MULT_A, 4 * len(words) + 1)
+    pairs = zip(h, h[1:])
+
+    def hashmix(v):
+        return _hash(v, *next(pairs))
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    return pool, len(h) - 1
+
+
+def _streams(seed: int, start: int, stop: int):
+    """Streams start..stop-1 of seed, in order, on one generator that each
+    step re-seeds, so a stream is good until the next one is taken.  The
+    seed's pool is mixed once; then, for a batch of indices at a time (64,
+    doubling up to 1024), uint32 arrays with one row per pool word mix in
+    each index's words and hash out its 4 uint64 seeding words."""
+    rng = np.random.Generator(np.random.PCG64())
+    bits = rng.bit_generator
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg,
+             "has_uint32": 0, "uinteger": 0}
+    pool, calls = _seed_pool(seed)
+    lo, batch = _uint(start), 64
+    while lo < stop:
+        width = max(1, (lo.bit_length() + 31) // 32)  # the index's words
+        hi = min(stop, lo + batch, 1 << 32 * width)
+        h = _hash_consts(_INIT_A, _MULT_A, calls + 4 * width + 1)[calls:]
+        h = np.array(h, np.uint32)[:, None]
+        p = np.array(pool, np.uint32)[:, None]
+        for w in range(width):
+            word = np.array([i >> 32 * w & _M32 for i in range(lo, hi)],
+                            np.uint32)
+            p = _mix(p, _hash(word, h[4 * w:4 * w + 4], h[4 * w + 1:4 * w + 5]))
+        out = _hash(np.vstack([p, p]), _OUT_CONSTS[:-1], _OUT_CONSTS[1:])
+        out = out.astype(np.uint64)
+        # the seeding words, from little-endian pairs: a state s and an
+        # increment i, high then low.  PCG64 sets inc = 2i + 1 (mod 2**128)
+        # and state = (s + inc) * _PCG_MULT + inc
+        s_hi, s_lo, i_hi, i_lo = out[0::2] | out[1::2] << 32
+        i_hi, i_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+        a_lo = s_lo + i_lo
+        a_hi = s_hi + i_hi + (a_lo < s_lo)
+        for ah, al, ih, il in zip(a_hi.tolist(), a_lo.tolist(),
+                                  i_hi.tolist(), i_lo.tolist()):
+            pcg["inc"] = inc = ih << 64 | il
+            pcg["state"] = ((ah << 64 | al) * _PCG_MULT + inc) & _M128
+            bits.state = state
+            yield rng
+        lo, batch = hi, min(2 * batch, 1024)
+
+
 def stream_rng(seed: int, index: int) -> np.random.Generator:
-    """Stream index of a master seed: its own PCG64 generator."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.PCG64(ss))
+    """Stream index of a master seed (ints >= 0): its own PCG64 generator,
+    in the state that
+    np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    starts in.  _streams derives the state with SeedSequence's hash: the
+    seed's words mixed into its pool, then the index's words, the pool
+    hashed out to PCG64's seeding words and PCG64's seeding step taken.
+    Tests check it against numpy's SeedSequence."""
+    return next(_streams(seed, index, index + 1))
 
 
 def _weight_chunk(
@@ -147,9 +266,9 @@ def _weight_chunk(
 ):
     out = np.empty(hi - lo)
     walk = Walk.prepare(m, layer_axis, proposal)
-    for i in range(lo, hi):
-        o = sample_table(m, stream_rng(seed, i), _walk=walk)
-        out[i - lo] = -o.log_q if o.accepted else -np.inf
+    for j, rng in enumerate(_streams(seed, lo, hi)):
+        o = sample_table(m, rng, _walk=walk)
+        out[j] = -o.log_q if o.accepted else -np.inf
     return out
 
 
@@ -191,9 +310,11 @@ def draw_accepted_tables(
     walk = Walk.prepare(m, layer_axis, proposal)
     accepted: list[SampleOutcome] = []
     attempt = 0
-    while len(accepted) < count and attempt < max_attempts:
-        o = sample_table(m, stream_rng(seed, attempt), _walk=walk)
+    for rng in _streams(seed, 0, max_attempts):
+        o = sample_table(m, rng, _walk=walk)
+        attempt += 1
         if o.accepted:
             accepted.append(o)
-        attempt += 1
+            if len(accepted) == count:
+                break
     return accepted, attempt

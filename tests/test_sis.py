@@ -83,6 +83,51 @@ def test_per_sample_streams_are_independent_of_position():
     assert np.array_equal(g1, g2)
 
 
+def _numpy_stream(seed, index):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+def test_stream_rng_matches_numpy_seed_sequence():
+    # seeds of 1, 2 and 5 uint32 words; indices of 1 and 2 words, the
+    # bootstrap stream among them
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 + 9, 2**130 + 7, np.int64(5)]
+    indices = [0, 1, 63, 2**32 - 1, 2**32, 1 << 40]
+    for seed in seeds:
+        for index in indices:
+            got, want = stream_rng(seed, index), _numpy_stream(seed, index)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.random(5).tobytes() == want.random(5).tobytes()
+            assert got.integers(0, 2**63, 3).tobytes() == \
+                want.integers(0, 2**63, 3).tobytes()
+    for bad, error in ((-1, ValueError), (1.5, TypeError)):
+        for seed, index in ((bad, 0), (0, bad)):
+            with pytest.raises(error):
+                _numpy_stream(seed, index)
+            with pytest.raises(error):
+                stream_rng(seed, index)
+
+
+@pytest.mark.parametrize("name", ["ex5_9", "semimagic-4-1"])
+def test_reused_stream_generator_leaks_nothing_between_proposals(name):
+    # run_sis and draw_accepted_tables re-seed one generator per proposal;
+    # each proposal must draw as on a generator built for it alone
+    m, n, seed = fixture(name), 200, 3
+    want = [sample_table(m, _numpy_stream(seed, i)) for i in range(n)]
+    weights = np.array([-o.log_q if o.accepted else -np.inf for o in want])
+    if name == "ex5_9":
+        assert not all(o.accepted for o in want)
+    for workers in (1, 2):
+        got = run_sis(m, SisConfig(samples=n, seed=seed, workers=workers))
+        assert got.tobytes() == weights.tobytes()
+    outs, attempts = draw_accepted_tables(m, n, seed=seed, max_attempts=n)
+    kept = [o for o in want if o.accepted]
+    assert attempts == n and len(outs) == len(kept)
+    for o, w in zip(outs, kept):
+        assert o.table.cells.tobytes() == w.table.cells.tobytes()
+        assert o.log_q.hex() == w.log_q.hex()
+
+
 def test_sample_table_accepts_valid_tables():
     m = fixture("ex5_2")
     for proposal in PROPOSALS:
