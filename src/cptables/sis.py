@@ -231,7 +231,8 @@ def _streams(seed: int, start: int, stop: int):
         for w in range(width):
             word = np.array([i >> 32 * w & _M32 for i in range(lo, hi)],
                             np.uint32)
-            p = _mix(p, _hash(word, h[4 * w:4 * w + 4], h[4 * w + 1:4 * w + 5]))
+            k = 4 * w  # this word's hash calls: one per pool word
+            p = _mix(p, _hash(word, h[k:k + 4], h[k + 1:k + 5]))
         out = _hash(np.vstack([p, p]), _OUT_CONSTS[:-1], _OUT_CONSTS[1:])
         out = out.astype(np.uint64)
         # the seeding words, from little-endian pairs: a state s and an
