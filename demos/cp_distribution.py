@@ -21,8 +21,10 @@ from itertools import combinations
 
 import numpy as np
 
-from cptables import BinaryTable, TableState, line_weights, marginals_of
+from cptables import BinaryTable, marginals_of
 from cptables.cpdist import cp_draft_sample, cp_log_pmf, log_esym_table
+from cptables.layers import line_weights
+from cptables.reduction import TableState
 
 
 def main() -> None:

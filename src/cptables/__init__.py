@@ -26,7 +26,7 @@ from .estimator import (
 )
 from .expand import PathExpansion, expand_paths
 from .fixtures import fixture, fixture_names, semimagic_margins
-from .layers import WalkOptionError, line_weights, sample_layer
+from .layers import WalkOptionError
 from .marginfile import (
     MarginalFileError,
     format_marginals,
@@ -35,7 +35,6 @@ from .marginfile import (
     write_marginal_file,
 )
 from .oracle import EnumerationBudgetError, exact_count, exact_enumerate
-from .reduction import TableState
 from .sis import SisConfig, draw_accepted_tables, run_sis, sample_table
 from .tables import (
     BinaryTable,
@@ -70,7 +69,6 @@ __all__ = [
     "RelationStack",
     "SampleOutcome",
     "SisConfig",
-    "TableState",
     "UcinetFormatError",
     "WalkOptionError",
     "bootstrap_ci",
@@ -87,7 +85,6 @@ __all__ = [
     "fixture_names",
     "format_count_from_log",
     "format_marginals",
-    "line_weights",
     "log_esym_table",
     "marginals3",
     "marginals_of",
@@ -97,7 +94,6 @@ __all__ = [
     "parse_ucinet_dl_text",
     "permute_marginal_axes",
     "run_sis",
-    "sample_layer",
     "sample_table",
     "semimagic_margins",
     "summarize",

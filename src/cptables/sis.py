@@ -23,25 +23,22 @@ the residual bookkeeping, and it raises InvariantError, so it also runs
 under python -O.  The accepted outcome's table is that same array, turned
 back to the input's axis order.
 
-run_sis derives one RNG stream per sample index from the master seed, so
-results are reproducible and independent of the worker count.  Stream i of
-seed s starts in the PCG64 state that
-np.random.PCG64(np.random.SeedSequence(entropy=s, spawn_key=(i,))) starts
-in.  _streams derives that state itself: it mixes the seed's words into
-SeedSequence's pool once, then only each index's words, hashes the pool
-out to PCG64's four seeding words and takes PCG64's seeding step; a chunk
-re-seeds one generator for each proposal rather than building one.  Tests
-check these states against numpy's SeedSequence.  Each chunk of proposals
-(in its own pool worker) prepares one Walk, which checks the margins, the
-layer axis and the preset once; each proposal starts from a copy of its
-reduced root.
+run_sis gives each sample index its own RNG stream of the master seed, so
+results are reproducible and independent of the worker count.  numpy
+defines the stream: stream i of seed s is the PCG64 generator of
+np.random.SeedSequence(entropy=s, spawn_key=(i,)), which stream_rng
+builds.  _streams only batches it: it derives the same states for a run of
+indices at once and re-seeds one generator per proposal rather than
+building one; tests check it against numpy state for state.  Each chunk of
+proposals (in its own pool worker) prepares one Walk, which checks the
+margins, the layer axis and the preset once; each proposal starts from a
+copy of its reduced root.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-import operator
 
 import numpy as np
 
@@ -145,7 +142,7 @@ sample_table3 = sample_table
 
 
 # numpy's SeedSequence hash (a pool of 4 uint32 words) and PCG64's seeding
-# step, which _streams reproduces
+# step, which _streams reproduces for a batch of indices
 _M32 = 0xFFFF_FFFF
 _M128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mixing words into the pool
@@ -165,7 +162,7 @@ def _hash_consts(init: int, mult: int, count: int) -> list[int]:
 
 
 def _hash(v, xor, mult):
-    """SeedSequence's word hash, on ints or on uint32 arrays."""
+    """SeedSequence's word hash, on uint32 arrays."""
     v = (v ^ xor) * mult & _M32
     return v ^ v >> 16
 
@@ -179,55 +176,30 @@ def _mix(x, y):
 _OUT_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 9), np.uint32)[:, None]
 
 
-def _uint(n) -> int:
-    n = operator.index(n)  # TypeError for a float, as in SeedSequence
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    return n
-
-
-def _seed_pool(seed) -> tuple[list[int], int]:
-    """The pool of SeedSequence(entropy=seed, spawn_key=...) once the
-    seed's words are mixed in, and the number of hash calls made so far.
-    A spawn key pads the seed's words with zeros to the pool's 4."""
-    seed = _uint(seed)
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    h = _hash_consts(_INIT_A, _MULT_A, 4 * len(words) + 1)
-    pairs = zip(h, h[1:])
-
-    def hashmix(v):
-        return _hash(v, *next(pairs))
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(w))
-    return pool, len(h) - 1
-
-
 def _streams(seed: int, start: int, stop: int):
-    """Streams start..stop-1 of seed, in order, on one generator that each
-    step re-seeds, so a stream is good until the next one is taken.  The
-    seed's pool is mixed once; then, for a batch of indices at a time (64,
-    doubling up to 1024), uint32 arrays with one row per pool word mix in
-    each index's words and hash out its 4 uint64 seeding words."""
+    """Streams start..stop-1 of seed (see stream_rng), in order, on one
+    generator that each step re-seeds, so a stream is good until the next
+    one is taken.  numpy mixes the seed into SeedSequence's pool once, and
+    checks it; then, for a batch of indices at a time (64, doubling up to
+    1024), uint32 arrays with one row per pool word mix in each index's
+    words and hash out its PCG64 seeding words.  A spawn key pads the
+    seed's words to the pool's 4, so 16 hash calls, plus 4 per seed word
+    past the fourth, come before the index's."""
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    seed_words = max(1, (int(seed).bit_length() + 31) // 32)
+    calls = 16 + 4 * max(0, seed_words - 4)
     rng = np.random.Generator(np.random.PCG64())
     bits = rng.bit_generator
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg,
              "has_uint32": 0, "uinteger": 0}
-    pool, calls = _seed_pool(seed)
-    lo, batch = _uint(start), 64
+    lo, batch = start, 64
     while lo < stop:
         width = max(1, (lo.bit_length() + 31) // 32)  # the index's words
         hi = min(stop, lo + batch, 1 << 32 * width)
         h = _hash_consts(_INIT_A, _MULT_A, calls + 4 * width + 1)[calls:]
         h = np.array(h, np.uint32)[:, None]
-        p = np.array(pool, np.uint32)[:, None]
+        p = pool
         for w in range(width):
             word = np.array([i >> 32 * w & _M32 for i in range(lo, hi)],
                             np.uint32)
@@ -236,16 +208,12 @@ def _streams(seed: int, start: int, stop: int):
         out = _hash(np.vstack([p, p]), _OUT_CONSTS[:-1], _OUT_CONSTS[1:])
         out = out.astype(np.uint64)
         # the seeding words, from little-endian pairs: a state s and an
-        # increment i, high then low.  PCG64 sets inc = 2i + 1 (mod 2**128)
-        # and state = (s + inc) * _PCG_MULT + inc
-        s_hi, s_lo, i_hi, i_lo = out[0::2] | out[1::2] << 32
-        i_hi, i_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
-        a_lo = s_lo + i_lo
-        a_hi = s_hi + i_hi + (a_lo < s_lo)
-        for ah, al, ih, il in zip(a_hi.tolist(), a_lo.tolist(),
-                                  i_hi.tolist(), i_lo.tolist()):
-            pcg["inc"] = inc = ih << 64 | il
-            pcg["state"] = ((ah << 64 | al) * _PCG_MULT + inc) & _M128
+        # increment i, high then low.  PCG64 sets inc = 2i + 1 and
+        # state = (s + inc) * _PCG_MULT + inc, both mod 2**128
+        words = (out[0::2] | out[1::2] << 32).tolist()
+        for s_hi, s_lo, i_hi, i_lo in zip(*words):
+            pcg["inc"] = inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
+            pcg["state"] = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _M128
             bits.state = state
             yield rng
         lo, batch = hi, min(2 * batch, 1024)
@@ -253,24 +221,25 @@ def _streams(seed: int, start: int, stop: int):
 
 def stream_rng(seed: int, index: int) -> np.random.Generator:
     """Stream index of a master seed (ints >= 0): its own PCG64 generator,
-    in the state that
-    np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    starts in.  _streams derives the state with SeedSequence's hash: the
-    seed's words mixed into its pool, then the index's words, the pool
-    hashed out to PCG64's seeding words and PCG64's seeding step taken.
-    Tests check it against numpy's SeedSequence."""
-    return next(_streams(seed, index, index + 1))
+    as numpy defines it.  _streams derives the same states in batches."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
+
+
+def _proposals(m: MarginalSet, seed: int, layer_axis: int, proposal: str,
+               lo: int, hi: int):
+    """Proposals lo..hi-1 of seed, each drawn on its own stream by one
+    prepared walk; the walk checks its options before any stream is taken."""
+    walk = Walk.prepare(m, layer_axis, proposal)
+    for rng in _streams(seed, lo, hi):
+        yield sample_table(m, rng, _walk=walk)
 
 
 def _weight_chunk(
     m: MarginalSet, seed: int, layer_axis: int, proposal: str, lo: int, hi: int
 ):
-    out = np.empty(hi - lo)
-    walk = Walk.prepare(m, layer_axis, proposal)
-    for j, rng in enumerate(_streams(seed, lo, hi)):
-        o = sample_table(m, rng, _walk=walk)
-        out[j] = -o.log_q if o.accepted else -np.inf
-    return out
+    return np.array([-o.log_q if o.accepted else -np.inf for o in
+                     _proposals(m, seed, layer_axis, proposal, lo, hi)])
 
 
 def run_sis(m: MarginalSet, cfg: SisConfig) -> np.ndarray:
@@ -308,12 +277,11 @@ def draw_accepted_tables(
         max_attempts = 1000 * count
     elif max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    walk = Walk.prepare(m, layer_axis, proposal)
     accepted: list[SampleOutcome] = []
     attempt = 0
-    for rng in _streams(seed, 0, max_attempts):
-        o = sample_table(m, rng, _walk=walk)
-        attempt += 1
+    for attempt, o in enumerate(
+        _proposals(m, seed, layer_axis, proposal, 0, max_attempts), 1
+    ):
         if o.accepted:
             accepted.append(o)
             if len(accepted) == count:

@@ -7,20 +7,20 @@ import pytest
 from cptables import (
     BinaryTable,
     CPInfeasibleError,
-    TableState,
     cp_log_pmf,
-    line_weights,
     marginals_of,
-    sample_layer,
     semimagic_margins,
 )
 from cptables.layers import (
     SampleRejected,
     draw_line,
     layer_shape,
+    line_weights,
     next_layer,
     next_line,
+    sample_layer,
 )
+from cptables.reduction import TableState
 
 
 def _line(state, axis, index):

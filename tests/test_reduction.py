@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from cptables import (
     BinaryTable,
     Dims,
-    TableState,
     fixture,
     marginals3,
     marginals_of,
@@ -15,6 +14,7 @@ from cptables import (
 )
 from cptables.layers import (SampleRejected, line_weights, next_layer, next_line,
                              sample_layer, set_line)
+from cptables.reduction import TableState
 from cptables.sis import _rng_chooser
 
 
@@ -208,7 +208,7 @@ def _check_closing_pass(seed, sizes, dens) -> tuple[int, int]:
     fired = rejected = 0
     for layer in rng.permutation(sizes[0]).tolist():
         try:
-            sample_layer(state, layer, choose, (0, 1, 2))
+            sample_layer(state, layer, choose, True)
         except SampleRejected:
             break
         before = (list(state.cells), list(state.rs), list(state.free))

@@ -32,7 +32,7 @@ from cptables import (
 from cptables.cpdist import UniformBlocks, cp_draft_sample
 from cptables.estimator import estimate_log_count
 from cptables.layers import PROPOSALS
-from cptables.sis import _rng_chooser, stream_rng
+from cptables.sis import _rng_chooser, _streams, stream_rng
 
 
 def test_sis_config_validation():
@@ -106,6 +106,20 @@ def test_stream_rng_matches_numpy_seed_sequence():
                 _numpy_stream(seed, index)
             with pytest.raises(error):
                 stream_rng(seed, index)
+
+
+def test_streams_match_numpy_across_batch_and_width_edges():
+    # one _streams call per range: its batches of 64 and 128 end inside
+    # the first, and its indices widen from 1 word to 2 inside the second
+    for seed in (1, 2**32, 2**130 + 7, np.int64(5)):  # 1, 2 and 5 words
+        for lo, hi in ((0, 200), (2**32 - 70, 2**32 + 70)):
+            got = [rng.bit_generator.state for rng in _streams(seed, lo, hi)]
+            want = [_numpy_stream(seed, i).bit_generator.state
+                    for i in range(lo, hi)]
+            assert got == want
+    for bad, error in ((-1, ValueError), (1.5, TypeError)):
+        with pytest.raises(error):
+            run_sis(fixture("ex5_2"), SisConfig(samples=3, seed=bad))
 
 
 @pytest.mark.parametrize("name", ["ex5_9", "semimagic-4-1"])
