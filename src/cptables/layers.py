@@ -221,7 +221,7 @@ def line_weights(
     weights: list[float] = []
     certain: list[int] = []
     for cid, cross in geo.crossing[lid] or geo.crossings(lid):
-        if cells[cid] >= 0:
+        if cells[cid] < 2:  # set
             continue
         num = den = 1
         for b in cross:

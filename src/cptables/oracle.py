@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .reduction import TableState
+from .reduction import FREE, TableState
 from .tables import BinaryTable, CPTablesError, MarginalSet, validate_marginals
 
 
@@ -140,6 +140,6 @@ def _branch(state: TableState, cursor: int, value: int) -> int:
 
 def _first_free(cells: list[int], start: int) -> int:
     try:
-        return cells.index(-1, start)
+        return cells.index(FREE, start)
     except ValueError:
         return len(cells)

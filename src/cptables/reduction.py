@@ -1,9 +1,10 @@
 """Structure detection: cells pinned by the margins alone.
 
-A line is a 1-D fiber of the table (fix all indices but one).  Each line
-keeps two counters: rs, the ones still to place, and zs, the zeros still
-to place (its free-cell count is rs + zs).  Forcing rules run to fixpoint
-over all lines of all axes:
+A cell holds 0, 1 or FREE = 255, each one byte, so one bytes() call
+reads the cells.  A line is a 1-D fiber of the table (fix all indices but
+one).  Each line keeps two counters: rs, the ones still to place, and zs,
+the zeros still to place (its free-cell count is rs + zs).  Forcing rules
+run to fixpoint over all lines of all axes:
 
   * rs == 0 -> every free cell in the line is a structural zero,
   * (saturation rule) zs == 0 -> every free cell is a forced one.
@@ -51,8 +52,9 @@ import numpy as np
 
 from .tables import MarginalSet
 
-# memo keys mark free cells (-1, byte 0xff) with 1 and set cells with 0
-_FREE = bytes(255) + b"\x01"
+FREE = 255  # a free cell's value: one byte, and -1 read as int8
+# memo keys mark free cells with 1 and set cells with 0
+_FREE = bytes(FREE) + b"\x01"
 
 
 class _Geometry:
@@ -121,7 +123,7 @@ def _geometry(sizes: tuple[int, ...]) -> _Geometry:
 
 
 class TableState:
-    """Mutable partial assignment: cell values (-1 free, 0, 1) and, per
+    """Mutable partial assignment: cell values (FREE, 0, 1) and, per
     line, the ones still to place (rs) and the zeros still to place (zs).
 
     set_cell and propagate record every placement on an undo trail, which
@@ -134,7 +136,7 @@ class TableState:
 
     def __init__(self, geo: _Geometry, rs: list[int]):
         self.geo = geo
-        self.cells = [-1] * geo.ncells
+        self.cells = [FREE] * geo.ncells
         self.rs = rs
         self.zs = [len(geo.line_cells[l]) - r for l, r in enumerate(rs)]
         self.trail: list[int] = []
@@ -183,7 +185,7 @@ class TableState:
         v, cids, count, other = 1, ones, rs, zs
         while True:
             for cid in cids:
-                if cells[cid] < 0:
+                if cells[cid] > 1:
                     cells[cid] = v
                     trail.append(cid)
                     for l in cell_lines[cid]:
@@ -248,17 +250,19 @@ class TableState:
         return len(self.trail)
 
     def undo_to(self, mark: int) -> None:
+        """Free the cells placed since the mark, giving their lines the
+        counts back in one pass (the increments commute); cut the trail."""
         cells = self.cells
         rs = self.rs
         zs = self.zs
         trail = self.trail
         cell_lines = self.geo.cell_lines
-        while len(trail) > mark:
-            cid = trail.pop()
+        for cid in trail[mark:]:
             count = rs if cells[cid] else zs
-            cells[cid] = -1
+            cells[cid] = FREE
             for lid in cell_lines[cid]:
                 count[lid] += 1
+        del trail[mark:]
 
     def memo_key(self, start: int = 0) -> bytes:
         """A search node's identity, the exact counter's and the path
@@ -268,15 +272,13 @@ class TableState:
         whose cells before `start` are all set, the subtree depends only on
         these: a placed value acts on the search only through its lines'
         residuals, and a line's zeros left are its free cells minus its
-        residual.  The expander puts its walk's layer in front."""
-        return (array(self.geo.rs_code, self.rs).tobytes()
-                + array("b", self.cells[start:]).tobytes().translate(_FREE))
+        residual.  The expander puts its walk's layer in front.  bytes()
+        builds each part but residuals of lines of 256 cells or more."""
+        rs = self.rs
+        head = bytes(rs) if self.geo.rs_code == "B" else array("I", rs).tobytes()
+        return head + bytes(self.cells[start:]).translate(_FREE)
 
     def cells_array(self) -> np.ndarray:
         """The cells as a read-only int8 array of the table's shape, a
-        free cell as -1."""
-        try:
-            raw = bytes(self.cells)
-        except ValueError:  # bytes() takes no -1: a free cell is left
-            raw = array("b", self.cells).tobytes()
-        return np.frombuffer(raw, np.int8).reshape(self.geo.sizes)
+        free cell (FREE) as -1."""
+        return np.frombuffer(bytes(self.cells), np.int8).reshape(self.geo.sizes)

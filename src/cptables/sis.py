@@ -32,7 +32,8 @@ indices at once and re-seeds one generator per proposal rather than
 building one; tests check it against numpy state for state.  Each chunk of
 proposals (in its own pool worker) prepares one Walk, which checks the
 margins, the layer axis and the preset once; each proposal starts from a
-copy of its reduced root.
+copy of its reduced root.  With workers > 1, run_sis prepares one in the
+parent first, so bad input raises before the pool starts.
 """
 
 from __future__ import annotations
@@ -248,6 +249,8 @@ def run_sis(m: MarginalSet, cfg: SisConfig) -> np.ndarray:
     n = cfg.samples
     if cfg.workers == 1:
         return _weight_chunk(m, cfg.seed, cfg.layer_axis, cfg.proposal, 0, n)
+    # bad margins or walk options raise here, before a pool starts
+    Walk.prepare(m, cfg.layer_axis, cfg.proposal)
     bounds = np.linspace(0, n, cfg.workers + 1).astype(int)
     args = [
         (m, cfg.seed, cfg.layer_axis, cfg.proposal, int(lo), int(hi))

@@ -20,7 +20,7 @@ from cptables.layers import (
     next_line,
     sample_layer,
 )
-from cptables.reduction import TableState
+from cptables.reduction import FREE, TableState
 
 
 def _line(state, axis, index):
@@ -240,7 +240,7 @@ def _reference_line_weights(state, lid):
     axis = geo.line_axis[lid]
     free_cids, weights, certain = [], [], []
     for cid in geo.line_cells[lid]:
-        if state.cells[cid] >= 0:
+        if state.cells[cid] != FREE:
             continue
         num = 1.0
         den = 1.0

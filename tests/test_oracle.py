@@ -117,6 +117,9 @@ def test_memo_keys_on_the_free_pattern_not_the_set_values():
     # keyed on free cells and residuals the count expands 12,924 nodes;
     # keying on the set cells' values as well takes 23,328
     assert exact_count(fixture("semimagic-4-2"), budget=15_000) == 51678
+    with pytest.raises(EnumerationBudgetError) as err:
+        exact_count(fixture("semimagic-4-2"), budget=12_923)
+    assert err.value.nodes == 12_924
 
 
 def test_latin_square_counts():

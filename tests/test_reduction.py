@@ -14,7 +14,7 @@ from cptables import (
 )
 from cptables.layers import (SampleRejected, line_weights, next_layer, next_line,
                              sample_layer, set_line)
-from cptables.reduction import TableState
+from cptables.reduction import FREE, TableState
 from cptables.sis import _rng_chooser
 
 
@@ -27,7 +27,7 @@ def _reduced(m):
 def test_latin_square_margins_pin_nothing():
     m = semimagic_margins(3, 1)
     state = _reduced(m)
-    assert state.cells == [-1] * 27 and state.trail == []
+    assert state.cells == [FREE] * 27 and state.trail == []
     assert state.rs == [1] * state.geo.nlines
     assert state.free == [3] * state.geo.nlines
 
@@ -47,7 +47,7 @@ def test_initial_reduce_cascades_from_one_corner():
     cells = np.array([[[1, 1], [1, 0]], [[1, 0], [0, 0]]])
     m = marginals_of(BinaryTable.from_array(cells))
     state = _reduced(m)
-    assert state.cells.count(-1) == 0
+    assert state.cells.count(FREE) == 0
     got = marginals_of(BinaryTable.from_array(state.cells_array()))
     for a in range(3):
         assert np.array_equal(got.margins[a], m.margins[a])
@@ -78,7 +78,7 @@ def test_state_set_cell_and_undo_round_trip():
     assert state.rs != rs0 and state.free != free0
     assert len(pending) == 6  # three lines touched per cell
     state.undo_to(mark)
-    assert state.cells[0] == -1 and state.cells[5] == -1
+    assert state.cells[0] == FREE and state.cells[5] == FREE
     assert list(state.rs) == rs0 and list(state.free) == free0
 
 
@@ -107,7 +107,7 @@ def test_saturation_mask_keeps_lines_open():
     pending = deque()
     state2.set_cell(2, 0, pending)
     assert state2.propagate(pending, masked=True) < 0
-    assert state2.cells[0] == -1 and state2.cells[1] == -1
+    assert state2.cells[0] == FREE and state2.cells[1] == FREE
 
     # bound checks still run when masked: overcommitting the open line dies
     pending = deque()
@@ -122,7 +122,7 @@ def test_single_free_cell_rule_fires_even_when_masked():
     state.set_cell(1, 1, pending)  # (0,0,1) = 1
     assert state.propagate(pending, masked=True) < 0
     # zero-residual and one-free-cell rules alone pin the whole cube
-    assert state.cells.count(-1) == 0
+    assert state.cells.count(FREE) == 0
     assert state.cells[0] == 0 and state.cells[7] == 1  # (1,1,1) = 1
 
 
@@ -193,6 +193,50 @@ def test_memo_key_packs_residuals_then_the_free_pattern():
     assert len(packed) == width
     assert array(code, packed).tolist() == wide.rs
     assert wide.memo_key()[width:] == bytes([1]) * wide.geo.ncells
+
+
+def _reference_memo_key(state, start):
+    """The memo key spelled out: the residuals at the shape's width, then
+    one byte per cell from start on, 1 if free and 0 if set."""
+    return (array(state.geo.rs_code, state.rs).tobytes()
+            + bytes(1 if v == FREE else 0 for v in state.cells[start:]))
+
+
+def test_memo_key_matches_a_reference_on_random_partial_states():
+    # fill seeded random tables' states cell by cell from the table, now
+    # and then rewinding up to three marks; at every step the key matches
+    # the reference, and the counters those of the cells still free.  The
+    # 2 x 300 shape keys its residuals four bytes wide
+    rng = np.random.default_rng(22)
+    for sizes in [(5, 7), (3, 4, 5), (2, 3, 2, 3), (2, 300)]:
+        for _ in range(4):
+            table = (rng.random(sizes) < rng.uniform(0.2, 0.9)).astype(int)
+            state = _reduced(marginals_of(BinaryTable.from_array(table)))
+            geo = state.geo
+            assert geo.rs_code == ("I" if max(sizes) >= 256 else "B")
+            truth = table.ravel().tolist()
+            marks = []
+            while True:
+                for start in (0, int(rng.integers(geo.ncells + 1)), geo.ncells):
+                    assert state.memo_key(start) == _reference_memo_key(state, start)
+                free = [c for c, v in enumerate(state.cells) if v == FREE]
+                is_free = [v == FREE for v in state.cells]
+                assert state.rs == [sum(truth[c] for c in cells if is_free[c])
+                                    for cells in geo.line_cells]
+                assert state.free == [sum(is_free[c] for c in cells)
+                                      for cells in geo.line_cells]
+                if not free:
+                    break
+                if marks and rng.random() < 0.2:
+                    i = max(0, len(marks) - int(rng.integers(1, 4)))
+                    state.undo_to(marks[i])
+                    del marks[i:]
+                    continue
+                marks.append(state.mark())
+                cid = int(rng.choice(free))
+                pending = deque()
+                state.set_cell(cid, truth[cid], pending)
+                assert state.propagate(pending) < 0
 
 
 def _check_closing_pass(seed, sizes, dens) -> tuple[int, int]:
@@ -358,7 +402,7 @@ class _Reference:
                 continue
             if r == 0 or (r == f and (f == 1 or not self.masked)):
                 for cid in self.geo.line_cells[lid]:
-                    if self.cells[cid] < 0:
+                    if self.cells[cid] == FREE:
                         self.place(cid, 0 if r == 0 else 1, pending)
         return True
 
@@ -381,11 +425,11 @@ def _check_engine(seed) -> tuple[int, int]:
     ref = _Reference(state, masked)
     assert state.propagate(deque(range(state.geo.nlines)), masked) < 0
     assert ref.propagate(deque(range(state.geo.nlines)))
-    while -1 in state.cells:
+    while FREE in state.cells:
         assert (state.cells, state.rs, state.free) == (ref.cells, ref.rs, ref.free)
         pending, ref_pending = deque(), deque()
         if rng.random() < 0.5:
-            free_cids = [c for c, v in enumerate(state.cells) if v < 0]
+            free_cids = [c for c, v in enumerate(state.cells) if v == FREE]
             for cid in rng.choice(free_cids, min(len(free_cids), 3),
                                   replace=False).tolist():
                 value = truth[cid] if rng.random() < 0.85 else 1 - truth[cid]

@@ -40,7 +40,7 @@ def test_sis_config_validation():
         SisConfig(samples=0)
     with pytest.raises(ValueError):
         SisConfig(samples=10, workers=0)
-    # the walk options are checked by each chunk's Walk.prepare
+    # the walk options are checked by Walk.prepare
     with pytest.raises(WalkOptionError):
         run_sis(fixture("ex5_2"), SisConfig(samples=10, layer_axis=-1))
     with pytest.raises(WalkOptionError):
@@ -291,7 +291,7 @@ def test_margin_check_survives_python_O():
         import sys
         import cptables.sis as sis
         from cptables import InvariantError, fixture
-        from cptables.reduction import TableState
+        from cptables.reduction import FREE, TableState
 
         assert False, "asserts must be stripped in this run"
         m = fixture("ex5_2")
@@ -302,7 +302,7 @@ def test_margin_check_survives_python_O():
             sys.exit(1)
         except InvariantError as e:
             print(e)
-        state.cells[0] = -1
+        state.cells[0] = FREE
         try:
             sis._finish(sis.Walk.prepare(m), state, 0.0)
         except InvariantError as e:
@@ -599,6 +599,18 @@ def test_walk_entry_points_reject_invalid_margins_first(call):
     with pytest.raises(MarginalValidationError) as err:
         call(INVALID_MARGINS)
     assert err.value.kind == "total"
+
+
+def test_run_sis_checks_its_input_before_starting_a_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr("cptables.sis.ProcessPoolExecutor", no_pool)
+    with pytest.raises(MarginalValidationError):
+        run_sis(INVALID_MARGINS, SisConfig(samples=4, workers=2))
+    for cfg in (SisConfig(samples=4, layer_axis=-1, workers=2),
+                SisConfig(samples=4, proposal="unknown", workers=2)):
+        with pytest.raises(WalkOptionError):
+            run_sis(fixture("ex5_2"), cfg)
 
 
 WALK_ENTRY_POINTS = {
