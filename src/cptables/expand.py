@@ -41,17 +41,18 @@ import math
 import numpy as np
 
 from .cpdist import log_esym_table
-from .layers import Walk, layer_shape, line_weights, next_layer, next_line, set_line
+from .layers import (SampleRejected, Walk, layer_shape, line_weights, next_line,
+                     set_line)
 from .oracle import EnumerationBudgetError
 from .tables import Dims, InvariantError, MarginalSet
 
 # A memo node is a tuple of edges (lp, bits, child), one per branch in the
-# walk's order: lp is the branch's log probability (None for a layer pass),
-# bits the cells it sets to one (byte cid of an int), child the node below
-# or None for a branch that dies in propagation.  _ACCEPT marks a finished
-# table, _REJECT a node that dies on entry.
+# walk's order: lp is the branch's log probability (0.0 for a layer-end
+# pass), bits the cells it sets to one (byte cid of an int), child the node
+# below or None for a branch that dies in propagation.  _ACCEPT marks a
+# finished table, _REJECT a node that dies on entry.
 _ACCEPT = ()
-_REJECT = ((None, 0, None),)
+_REJECT = ((0.0, 0, None),)
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,10 @@ def expand_paths(
 def _expand(walk: Walk, max_leaves: int) -> tuple[dict[bytes, float], float, int]:
     """The reached tables (in the walk's axis order) with their q, the
     reject mass and the leaf count."""
+    try:
+        state = walk.fresh()
+    except SampleRejected:  # the initial reduction found no table
+        return {}, 1.0, 1
     tables: dict[bytes, float] = {}
     tally = {"leaves": 0, "reject": 0.0}
 
@@ -132,11 +137,6 @@ def _expand(walk: Walk, max_leaves: int) -> tuple[dict[bytes, float], float, int
         tally["leaves"] += 1
         tally["reject"] += math.exp(logp)
 
-    if walk.root is None:
-        leaf_reject(0.0)
-        return tables, tally["reject"], tally["leaves"]
-
-    state = walk.fresh()
     ncells = state.geo.ncells
     # tables travel down the walk as ints, one byte per cell in C order
     one = [1 << 8 * cid for cid in range(ncells)]
@@ -171,7 +171,7 @@ def _expand(walk: Walk, max_leaves: int) -> tuple[dict[bytes, float], float, int
             accept(out, logp)
             return
         for lp, bits, child in node:
-            p = logp if lp is None else logp + lp
+            p = logp + lp
             if child is None:
                 leaf_reject(p)
             else:
@@ -187,24 +187,24 @@ def _expand(walk: Walk, max_leaves: int) -> tuple[dict[bytes, float], float, int
         if node is not None:
             replay(node, out, logp)
             return node
+        entry = state.mark()
         lid = next_line(state, layer) if layer >= 0 else -1
-        if lid < 0 and layer >= 0 and walk.masked:
-            # the layer is done: the classic layer-end pass is one edge
-            mark = state.mark()
-            if state.close_saturated() >= 0:
+        if lid < 0:
+            # a layer-end pass that sets ones is an edge, else go on here
+            try:
+                layer = walk.advance(state, layer)
+            except SampleRejected:
                 leaf_reject(logp)
                 node = _REJECT
             else:
-                bits = ones_since(mark)
-                node = ((None, bits, visit(-1, out | bits, logp)),)
-            state.undo_to(mark)
-        elif lid < 0:
-            layer = next_layer(state)
-            if layer < 0:
-                accept(out, logp)
-                node = _ACCEPT
-            else:
-                lid = next_line(state, layer)
+                bits = ones_since(entry)
+                if bits:
+                    node = ((0.0, bits, visit(layer, out | bits, logp)),)
+                elif layer < 0:
+                    accept(out, logp)
+                    node = _ACCEPT
+                else:
+                    lid = next_line(state, layer)
         if node is None:
             free_cids, weights, certain = line_weights(state, lid)
             size = state.rs[lid] - len(certain)
@@ -230,6 +230,7 @@ def _expand(walk: Walk, max_leaves: int) -> tuple[dict[bytes, float], float, int
                         edges.append((lp, 0, None))
                     state.undo_to(mark)
                 node = tuple(edges)
+        state.undo_to(entry)
         memo[key] = node
         return node
 

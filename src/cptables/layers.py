@@ -25,13 +25,12 @@ masked under the classic preset, see Walk); cells they force are
 probability-1 events and also add nothing to log q.  The final line of a
 layer (and the final layer of a table) is therefore filled
 deterministically by propagation, and any residual mismatch surfaces as
-infeasibility, i.e. a rejection.  The classic proposal's layer-end pass
-is TableState.close_saturated.
+infeasibility, i.e. a rejection.
 
-sis.py and expand.py both walk from one prepared Walk, which validates
-the margins and turns tables back to the input's axis order: sis.py draws
-once per line, its uniforms taken in blocks from the proposal's own
-generator, and expand.py branches over every admissible subset instead.
+Only Walk.advance picks the next layer and runs the layer-end pass;
+Walk.run loops it with sample_layer.  sis.py runs a walk with one draw
+per line; expand.py takes each layer end from Walk.advance and branches
+over every admissible subset of a line instead.
 """
 
 from __future__ import annotations
@@ -79,11 +78,9 @@ class Walk:
         draw crosses such a line, its cells enter with probability one
         (certain inclusions: the conditional Poisson limit of infinite odds,
         contributing log 1 to log q).  Each time a layer completes, one
-        full-strength reduction pass closes out whatever the light rules left
-        behind, and a contradiction there rejects the sample.  That pass
-        seeds only the saturated lines: at a fixpoint of the light rules no
-        other line can fire before one of its cells is set, and the rules are
-        monotone, so it ends in the cells and verdict of a pass over all lines.
+        full-strength reduction pass (TableState.close_saturated) closes out
+        whatever the light rules left behind, and a contradiction there
+        rejects the sample.
       * "guided"   - saturated lines are filled immediately everywhere (all
         remaining cells 1), so infeasibility surfaces as early as per-line
         bounds can see it.  Higher acceptance on hard instances, same
@@ -136,6 +133,26 @@ class Walk:
         if self.root is None:
             raise SampleRejected("initial-reduction")
         return self.root.copy()
+
+    def advance(self, state: TableState, layer: int) -> int:
+        """End a layer (-1: before the first one): run the layer-end pass
+        when masked, raising SampleRejected on a contradiction, then return
+        the next layer, -1 when none is left."""
+        if self.masked and layer >= 0 and state.close_saturated() >= 0:
+            raise SampleRejected(f"layer={layer} closing-pass")
+        return next_layer(state)
+
+    def run(self, state: TableState, choose) -> float:
+        """Walk a fresh state to the end; return log q, the sum of the
+        draws' log probabilities.  choose(weights, size) draws a line: the
+        picked positions, ascending, and their log probability.  Raises
+        SampleRejected at a dead end, leaving the state where it stopped."""
+        log_q = 0.0
+        layer = self.advance(state, -1)
+        while layer >= 0:
+            log_q += sample_layer(state, layer, choose, self.masked)
+            layer = self.advance(state, layer)
+        return log_q
 
     def turn_back(self, cells: np.ndarray) -> np.ndarray:
         """Tables in the walk's axis order, in the input's; a stack axis

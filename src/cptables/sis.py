@@ -1,20 +1,11 @@
 """Sequential importance sampling of zero-one multiway tables.
 
-Each proposal builds a table column by column with conditional Poisson
-draws, interleaved with structure propagation; q(X) is the product of the
-draw probabilities (forced cells contribute probability 1).  A draw that
-propagates into a dead end is a rejection: it carries weight zero in the
-estimator rather than being resampled, which keeps the importance weights
-unbiased for the number of tables.
-
-sample_table draws one proposal for a table of any d.  It walks the table
-with the steps in layers.py: layers largest remaining sum first, and
-within a layer, lines along the last axis largest residual sum first,
-propagating structure updates after every draw.  A three-way table's
-layers are its slices along the layer axis (turned to the front for the
-walk and back for the result); any other table is one layer of every line
-along its last axis, and ignores the layer axis.  The two presets,
-"classic" and "guided", are described on layers.Walk.
+sample_table draws one proposal: layers.Walk.run walks the table with one
+conditional Poisson draw per line (the walk, its presets and q are
+described in layers.py).  A draw that propagates into a dead end is a
+rejection: it carries weight zero in the estimator rather than being
+resampled, which keeps the importance weights unbiased for the number of
+tables.
 
 A completed proposal passes one final check before it counts: the cells
 themselves, read into one int8 array, must all be 0 or 1 and sum over
@@ -33,18 +24,20 @@ building one; tests check it against numpy state for state.  Each chunk of
 proposals (in its own pool worker) prepares one Walk, which checks the
 margins, the layer axis and the preset once; each proposal starts from a
 copy of its reduced root.  With workers > 1, run_sis prepares one in the
-parent first, so bad input raises before the pool starts.
+parent first, so bad input raises before the pool starts; the pool has at
+most one process per CPU.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+import os
 
 import numpy as np
 
 from .cpdist import UniformBlocks, cp_draft_sample
-from .layers import SampleRejected, Walk, next_layer, sample_layer
+from .layers import SampleRejected, Walk
 from .reduction import TableState
 from .tables import BinaryTable, InvariantError, MarginalSet, SampleOutcome
 
@@ -108,11 +101,8 @@ def sample_table(
     _choose=None,
     _walk: Walk | None = None,
 ) -> SampleOutcome:
-    """Draw one proposal for a d-way table, in m's axis order: the layers
-    in next_layer order, each followed by the layer-end pass when the
-    walk is masked.  layer_axis picks a three-way table's layers; any
-    other d is one layer of every line along the last axis (for d = 2 the
-    column law reduces to r / (n - r)) and ignores it.  A run passes its
+    """Draw one proposal for a d-way table, in m's axis order: Walk.run
+    from a fresh copy of the reduced root, then _finish.  A run passes its
     prepared walk (which then fixes the layer axis and the preset); a
     direct call prepares one.  The draws take rng's uniforms in blocks, so
     rng ends up to a block past the last uniform they use; with neither
@@ -123,15 +113,7 @@ def sample_table(
         _choose = _rng_chooser(np.random.default_rng() if rng is None else rng)
     try:
         state = _walk.fresh()
-        log_q = 0.0
-        while True:
-            layer = next_layer(state)
-            if layer < 0:
-                break
-            log_q += sample_layer(state, layer, _choose, _walk.masked)
-            if _walk.masked and state.close_saturated() >= 0:
-                raise SampleRejected(f"layer={layer} closing-pass")
-        return _finish(_walk, state, log_q)
+        return _finish(_walk, state, _walk.run(state, _choose))
     except SampleRejected as r:
         return SampleOutcome("rejected", reject_stage=r.stage)
 
@@ -257,7 +239,7 @@ def run_sis(m: MarginalSet, cfg: SisConfig) -> np.ndarray:
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]
-    with ProcessPoolExecutor(max_workers=len(args)) as pool:
+    with ProcessPoolExecutor(min(len(args), os.cpu_count() or 1)) as pool:
         chunks = list(pool.map(_weight_chunk, *zip(*args)))
     return np.concatenate(chunks)
 

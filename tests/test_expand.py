@@ -25,20 +25,49 @@ from cptables.sis import stream_rng
 SMALL = ("ex5_1", "ex5_2", "ex5_3", "ex5_8", "ex5_12")
 
 
+def _two_way():
+    cells = (np.random.default_rng(0).random((5, 6)) < 0.5).astype(int)
+    return marginals_of(BinaryTable.from_array(cells))
+
+
+def _cube():
+    # on every layer axis, its classic layer-end passes set ones, find
+    # nothing to do and reject
+    cells = (np.random.default_rng(0).random((4, 4, 4)) < 0.5).astype(int)
+    return marginals_of(BinaryTable.from_array(cells))
+
+
+def _four_way():
+    # 3 x 3 x 3 x 3 with every line sum 1: 24 tables
+    idx = np.indices((3, 3, 3, 3))
+    cells = (idx[3] == idx[:3].sum(axis=0) % 3).astype(int)
+    return marginals_of(BinaryTable.from_array(cells))
+
+
+def _identity_cases():
+    """(margins, layer axis): the bundled three-way sets and a random cube
+    on every layer axis, then a two-way and a four-way table."""
+    for m in [fixture(name) for name in SMALL] + [_cube()]:
+        for axis in range(3):
+            yield m, axis
+    yield _two_way(), 0
+    yield _four_way(), 0
+
+
 def test_branch_probabilities_sum_to_one():
-    for name in SMALL:
+    for m, axis in _identity_cases():
         for proposal in PROPOSALS:
-            px = expand_paths(fixture(name), proposal=proposal)
+            px = expand_paths(m, layer_axis=axis, proposal=proposal)
             assert abs(px.total_mass - 1.0) < 1e-9
 
 
 def test_every_reachable_weight_is_unbiased():
     # sum over accepted leaves of q * (1/q) must equal the table count
     # exactly: the proposal reaches every valid table
-    for name in SMALL:
-        truth = exact_count(fixture(name))
+    for m, axis in _identity_cases():
+        truth = exact_count(m)
         for proposal in PROPOSALS:
-            px = expand_paths(fixture(name), proposal=proposal)
+            px = expand_paths(m, layer_axis=axis, proposal=proposal)
             assert px.weight_mean() == truth
 
 
@@ -69,18 +98,6 @@ def test_classic_acceptance_exact_values():
     acc13 = expand_paths(fixture("ex5_13")).acceptance
     assert abs(acc9 - 0.8455) < 5e-4
     assert abs(acc13 - 0.8462) < 5e-4
-
-
-def _two_way():
-    cells = (np.random.default_rng(0).random((5, 6)) < 0.5).astype(int)
-    return marginals_of(BinaryTable.from_array(cells))
-
-
-def _four_way():
-    # 3 x 3 x 3 x 3 with every line sum 1: 24 tables
-    idx = np.indices((3, 3, 3, 3))
-    cells = (idx[3] == idx[:3].sum(axis=0) % 3).astype(int)
-    return marginals_of(BinaryTable.from_array(cells))
 
 
 def test_sampler_log_q_agrees_with_expansion():

@@ -44,3 +44,19 @@ def test_every_relative_import_names_the_defining_module():
                           for alias in node.names
                           if alias.name not in defined[node.module]]
     assert found == []
+
+
+def test_only_layers_runs_the_layer_end_pass_and_the_layer_order():
+    # the walk's layer order and layer-end rule have one home, Walk.advance
+    walk_steps = {"close_saturated", "next_layer"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "layers.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in walk_steps:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []

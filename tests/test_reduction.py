@@ -300,8 +300,9 @@ def _scan_seeds(state):
 def _check_held_set(seed) -> tuple[int, int]:
     """Walk a classic proposal tree of a random three-way table depth
     first, in the order expand._expand calls the state: per branch mark,
-    set_line and undo_to; at a layer end mark, close_saturated, the next
-    layer and undo_to.  Two random subsets per line (weights ignored, so
+    set_line and undo_to; at a layer end mark, Walk.advance (the pass
+    close_saturated, then next_layer), the next layer's lines and, once
+    they are done, undo_to.  Two random subsets per line (weights ignored, so
     branches die too), and now and then the walk goes on in a copy().  At
     every layer end the saturated lines of the held set must be the scan's
     seeds, lines left there by rewound branches and all, and the pass must

@@ -613,6 +613,33 @@ def test_run_sis_checks_its_input_before_starting_a_pool(monkeypatch):
             run_sis(fixture("ex5_2"), cfg)
 
 
+def test_run_sis_caps_the_pool_at_the_cpu_count(monkeypatch):
+    # the chunks stay one per worker; the pool runs them on at most one
+    # process per CPU, and each index's own stream keeps the weights
+    sizes, chunks = [], []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            chunks.append(len(iterables[0]))
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("cptables.sis.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    m = fixture("ex5_9")
+    eight = run_sis(m, SisConfig(samples=8, seed=3, workers=8))
+    assert (sizes, chunks) == ([2], [8])
+    assert eight.tobytes() == run_sis(m, SisConfig(samples=8, seed=3)).tobytes()
+
+
 WALK_ENTRY_POINTS = {
     "sample_table": lambda m, axis, proposal: sample_table(
         m, np.random.default_rng(0), layer_axis=axis, proposal=proposal),
