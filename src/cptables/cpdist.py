@@ -18,14 +18,14 @@ to max 1; zero weights are allowed and never selected.
     one uniform per positive weight, from a numpy Generator or from
     UniformBlocks, which hands out a generator's uniforms a block at a time
     with the same bits.
-  * cp_log_pmf rebuilds that table to score a subset: the draw's log_prob,
-    bit for bit.
+  * cp_branches rebuilds that table once and gives subsets the draw's
+    log_prob, bit for bit: the expander's branches, or cp_log_pmf's one.
   * log_esym_table reads log R(s, w) off the table of the weights in order.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, combinations
 import math
 from operator import mul
 from typing import NamedTuple
@@ -122,20 +122,35 @@ def cp_log_pmf(w, size: int, subset) -> float:
         raise ValueError("subset indices must be distinct")
     if idx and (idx[0] < 0 or idx[-1] >= len(w)):
         raise ValueError("subset index out of range")
-    if len(pos) < size:
-        raise CPInfeasibleError(f"only {len(pos)} positive weights, need {size}")
-    if not all(w[i] > 0.0 for i in idx):
-        return -math.inf
-    if size in (0, len(pos)):  # the draw's certain subsets
-        return 0.0
+    scored = cp_branches(w, size, [idx] if all(w[i] > 0.0 for i in idx) else [])
+    return scored[0][1] if scored else -math.inf
+
+
+def cp_branches(w, size: int, subsets=None) -> list[tuple[tuple[int, ...], float]]:
+    """Each of `subsets` (ascending positive ids; by default every subset the
+    draw can pick, in lexicographic order) with the draw's log_prob of it,
+    bit for bit.  Raises CPInfeasibleError where cp_draft_sample does."""
+    w, pos = _positive(w)
+    k = len(pos)
+    if k < size:
+        raise CPInfeasibleError(f"only {k} positive weights, need {size}")
+    subsets = combinations(pos, size) if subsets is None else subsets
+    if size in (0, k):  # the draw's certain subsets
+        return [(sub, 0.0) for sub in subsets]
     wmax = max(w)
-    r_all = _columns([w[j] / wmax for j in reversed(pos)], size)[size][-1]
+    x = [w[j] / wmax for j in pos]
+    r_all = _columns(x[::-1], size)[size][-1]
     if not r_all > 0.0:
         raise CPInfeasibleError(f"R({size}, w) underflows to zero")
-    log_w = 0.0
-    for i in idx:
-        log_w += math.log(w[i] / wmax)
-    return min(log_w - math.log(r_all), 0.0)
+    log_r = math.log(r_all)
+    log_x = dict(zip(pos, map(math.log, x)))
+    scored = []
+    for sub in subsets:
+        log_w = 0.0
+        for i in sub:  # summed as the draw sums: ascending, from 0.0
+            log_w += log_x[i]
+        scored.append((sub, min(log_w - log_r, 0.0)))
+    return scored
 
 
 def cp_draft_sample(w, size: int, rng) -> CPSample:

@@ -2,10 +2,12 @@
 
 The sampler in sis.py draws one random trajectory; here the same walk
 (the steps in layers.py, from the same prepared Walk, for any d) splits
-every conditional Poisson draw into one branch per admissible subset of
-the line's free cells, weighted by the exact CP probability.  Leaves are
-either accepted tables (with their exact proposal probability q) or dead
-ends.
+every conditional Poisson draw into one branch per subset the draw can
+pick, each edge carrying the draw's own log probability of it, bit for bit
+(cpdist.cp_branches).  Leaves are either accepted tables (with their exact
+proposal probability q) or dead ends.  On a one-layer walk (d != 3) q is
+exp of the sampler's log q bit for bit; on a three-way table the sampler
+sums log q per layer, here edge by edge, and the last bit may differ.
 Branch probabilities over all leaves sum to one, giving with no Monte Carlo
 noise:
 
@@ -35,13 +37,12 @@ reached tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 import math
 
 import numpy as np
 
-from .cpdist import log_esym_table
-from .layers import (SampleRejected, Walk, layer_shape, line_weights, next_line,
+from .cpdist import cp_branches
+from .layers import (SampleRejected, Walk, layer_shape, next_line, open_line,
                      set_line)
 from .oracle import EnumerationBudgetError
 from .tables import Dims, InvariantError, MarginalSet
@@ -189,14 +190,10 @@ def _expand(walk: Walk, max_leaves: int) -> tuple[dict[bytes, float], float, int
             return node
         entry = state.mark()
         lid = next_line(state, layer) if layer >= 0 else -1
-        if lid < 0:
-            # a layer-end pass that sets ones is an edge, else go on here
-            try:
+        try:  # a dead end before any branch is a reject leaf
+            if lid < 0:
+                # a layer-end pass that sets ones is an edge, else go on here
                 layer = walk.advance(state, layer)
-            except SampleRejected:
-                leaf_reject(logp)
-                node = _REJECT
-            else:
                 bits = ones_since(entry)
                 if bits:
                     node = ((0.0, bits, visit(layer, out | bits, logp)),)
@@ -205,31 +202,24 @@ def _expand(walk: Walk, max_leaves: int) -> tuple[dict[bytes, float], float, int
                     node = _ACCEPT
                 else:
                     lid = next_line(state, layer)
+            if node is None:
+                free_cids, certain, branches = open_line(state, lid,
+                                                         cp_branches, "")
+        except SampleRejected:
+            leaf_reject(logp)
+            node = _REJECT
         if node is None:
-            free_cids, weights, certain = line_weights(state, lid)
-            size = state.rs[lid] - len(certain)
-            positives = [i for i, w in enumerate(weights) if w > 0]
-            if size < 0 or size > len(positives):
-                leaf_reject(logp)
-                node = _REJECT
-            else:
-                # CP pmf of each subset: sum of its log weights minus log
-                # R, with R and the logs computed once per line
-                log_r = log_esym_table(weights, size)[size]
-                log_w = [math.log(w) if w > 0 else -math.inf for w in weights]
-                edges = []
-                for picked in combinations(positives, size):
-                    lp = min(sum(log_w[i] for i in picked) - log_r, 0.0)
-                    mark = state.mark()
-                    if set_line(state, free_cids, certain, picked, walk.masked):
-                        bits = ones_since(mark)
-                        child = visit(layer, out | bits, logp + lp)
-                        edges.append((lp, bits, child))
-                    else:
-                        leaf_reject(logp + lp)
-                        edges.append((lp, 0, None))
-                    state.undo_to(mark)
-                node = tuple(edges)
+            edges = []
+            for picked, lp in branches:
+                mark = state.mark()
+                if set_line(state, free_cids, certain, picked, walk.masked):
+                    bits = ones_since(mark)
+                    edges.append((lp, bits, visit(layer, out | bits, logp + lp)))
+                else:
+                    leaf_reject(logp + lp)
+                    edges.append((lp, 0, None))
+                state.undo_to(mark)
+            node = tuple(edges)
         state.undo_to(entry)
         memo[key] = node
         return node

@@ -27,10 +27,10 @@ layer (and the final layer of a table) is therefore filled
 deterministically by propagation, and any residual mismatch surfaces as
 infeasibility, i.e. a rejection.
 
-Only Walk.advance picks the next layer and runs the layer-end pass;
-Walk.run loops it with sample_layer.  sis.py runs a walk with one draw
-per line; expand.py takes each layer end from Walk.advance and branches
-over every admissible subset of a line instead.
+Only Walk.advance picks the next layer and runs the layer-end pass (Walk.run
+loops it with sample_layer), and only open_line sets up a line's draw.
+sis.py runs a walk with one draw per line; expand.py takes the same steps
+and branches over every subset the draw can pick instead.
 """
 
 from __future__ import annotations
@@ -266,21 +266,28 @@ def set_line(
     return state.propagate(deque(), masked, ones, free_cids) < 0
 
 
+def open_line(state: TableState, lid: int, draw, stage: str):
+    """A line's free cells, its certain cells and draw(weights, size), size
+    being the ones due after the certain cells.  Raises SampleRejected
+    (`stage`, line id, overcommitted or cp-infeasible) before setting any."""
+    free_cids, weights, certain = line_weights(state, lid)
+    size = state.rs[lid] - len(certain)
+    if size < 0 or size > len(free_cids):
+        raise SampleRejected(f"{stage} line={lid} overcommitted")
+    try:
+        return free_cids, certain, draw(weights, size)
+    except CPInfeasibleError:
+        raise SampleRejected(f"{stage} line={lid} cp-infeasible") from None
+
+
 def draw_line(
     state: TableState, lid: int, choose, stage: str, masked=False
 ) -> float:
     """Fill one line with a CP draw over its free cells; propagate; return
     the draw's log probability.  Raises SampleRejected on a dead end, its
     stage being `stage`, the line id and the kind of failure."""
-    free_cids, weights, certain = line_weights(state, lid)
-    size = state.rs[lid] - len(certain)
-    if size < 0 or size > len(free_cids):
-        raise SampleRejected(f"{stage} line={lid} overcommitted")
-    try:
-        positions, log_prob = choose(weights, size)
-    except CPInfeasibleError:
-        raise SampleRejected(f"{stage} line={lid} cp-infeasible") from None
-    if not set_line(state, free_cids, certain, positions, masked):
+    free_cids, certain, (picked, log_prob) = open_line(state, lid, choose, stage)
+    if not set_line(state, free_cids, certain, picked, masked):
         raise SampleRejected(f"{stage} line={lid}")
     return log_prob
 

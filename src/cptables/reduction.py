@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from functools import cache
 import math
 
 import numpy as np
@@ -112,14 +113,9 @@ class _Geometry:
         return cross
 
 
-_GEOMETRY_CACHE: dict[tuple[int, ...], _Geometry] = {}
-
-
+@cache
 def _geometry(sizes: tuple[int, ...]) -> _Geometry:
-    geo = _GEOMETRY_CACHE.get(sizes)
-    if geo is None:
-        geo = _GEOMETRY_CACHE[sizes] = _Geometry(sizes)
-    return geo
+    return _Geometry(sizes)
 
 
 class TableState:
@@ -144,11 +140,8 @@ class TableState:
 
     @classmethod
     def from_marginals(cls, m: MarginalSet) -> "TableState":
-        geo = _geometry(m.dims.sizes)
-        rs: list[int] = []
-        for a in range(geo.d):
-            rs.extend(int(v) for v in m.margins[a].ravel())
-        return cls(geo, rs)
+        rs = [int(v) for mg in m.margins for v in mg.ravel()]
+        return cls(_geometry(m.dims.sizes), rs)
 
     @property
     def free(self) -> list[int]:

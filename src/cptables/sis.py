@@ -23,9 +23,9 @@ indices at once and re-seeds one generator per proposal rather than
 building one; tests check it against numpy state for state.  Each chunk of
 proposals (in its own pool worker) prepares one Walk, which checks the
 margins, the layer axis and the preset once; each proposal starts from a
-copy of its reduced root.  With workers > 1, run_sis prepares one in the
-parent first, so bad input raises before the pool starts; the pool has at
-most one process per CPU.
+copy of its reduced root.  run_sis runs min(workers, samples) chunks: a
+lone one itself, more in a pool of at most one process per CPU, after it
+prepares one walk itself, so bad input raises before the pool starts.
 """
 
 from __future__ import annotations
@@ -229,17 +229,15 @@ def run_sis(m: MarginalSet, cfg: SisConfig) -> np.ndarray:
     """Run N independent proposals; return the log importance weights
     log Y_i = -log q(X_i), with -inf marking rejections."""
     n = cfg.samples
-    if cfg.workers == 1:
+    nchunks = min(cfg.workers, n)
+    if nchunks == 1:
         return _weight_chunk(m, cfg.seed, cfg.layer_axis, cfg.proposal, 0, n)
     # bad margins or walk options raise here, before a pool starts
     Walk.prepare(m, cfg.layer_axis, cfg.proposal)
-    bounds = np.linspace(0, n, cfg.workers + 1).astype(int)
-    args = [
-        (m, cfg.seed, cfg.layer_axis, cfg.proposal, int(lo), int(hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    with ProcessPoolExecutor(min(len(args), os.cpu_count() or 1)) as pool:
+    bounds = [n * i // nchunks for i in range(nchunks + 1)]  # none empty
+    args = [(m, cfg.seed, cfg.layer_axis, cfg.proposal, lo, hi)
+            for lo, hi in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(min(nchunks, os.cpu_count() or 1)) as pool:
         chunks = list(pool.map(_weight_chunk, *zip(*args)))
     return np.concatenate(chunks)
 

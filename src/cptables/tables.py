@@ -13,6 +13,7 @@ so they are safe to share across samplers and worker processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 import numpy as np
 
 
@@ -66,10 +67,7 @@ class Dims:
 
     @property
     def ncells(self) -> int:
-        out = 1
-        for s in self.sizes:
-            out *= s
-        return out
+        return math.prod(self.sizes)
 
     def margin_shape(self, axis: int) -> tuple[int, ...]:
         """Shape of the margin array summing over `axis`."""
@@ -217,7 +215,6 @@ def validate_marginals(m: MarginalSet) -> None:
                     "one-way",
                     f"margins disagree on the one-way totals along axis {c}",
                 )
-    return None
 
 
 def marginals_of(t: BinaryTable) -> MarginalSet:

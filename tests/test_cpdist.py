@@ -14,7 +14,7 @@ from cptables import (
     cp_log_pmf,
     log_esym_table,
 )
-from cptables.cpdist import UniformBlocks
+from cptables.cpdist import UniformBlocks, cp_branches
 
 
 def brute_esym(w, s):
@@ -157,6 +157,49 @@ def test_sequential_sampler_matches_pmf_at_extreme_sizes(size):
         for sub in combinations(range(len(w)), size)
     )
     assert tv < 0.01
+
+
+def _raises_infeasible(call):
+    try:
+        call()
+    except CPInfeasibleError:
+        return True
+    return False
+
+
+def test_branches_score_every_subset_as_the_pmf_and_the_draw():
+    # lengths 1..8 with about 30% zero weights, every size 0..length (so
+    # size 0, the positive count and sizes past it), and a vector whose
+    # R(3) underflows: the branches are exactly the positive subsets, each
+    # scored as cp_log_pmf scores it and as the draw reports it, bit for
+    # bit, and they raise CPInfeasibleError exactly where the draw does
+    rng = np.random.default_rng(43)
+    vectors = [random_weights(rng, int(rng.integers(1, 9)), zero_frac=0.3)
+               for _ in range(60)]
+    vectors.append(np.array([1.0, 0.0, 1e-200, 1e-200, 1e-200]))
+    for w in vectors:
+        n = len(w)
+        for size in range(n + 1):
+            seeds = rng.integers(2**32, size=5).tolist()
+            draw_fails = _raises_infeasible(
+                lambda: cp_draft_sample(w, size, np.random.default_rng(0)))
+            assert _raises_infeasible(lambda: cp_branches(w, size)) == draw_fails
+            if draw_fails:
+                assert _raises_infeasible(
+                    lambda: cp_log_pmf(w, size, range(size)))
+                continue
+            branches = dict(cp_branches(w, size))
+            for sub in combinations(range(n), size):
+                lp = cp_log_pmf(w, size, sub)
+                if all(w[i] > 0 for i in sub):
+                    assert branches.pop(sub) == lp
+                else:
+                    assert lp == -math.inf
+            assert branches == {}
+            scored = dict(cp_branches(w, size))
+            for seed in seeds:
+                s = cp_draft_sample(w, size, np.random.default_rng(seed))
+                assert scored[s.chosen] == s.log_prob
 
 
 def test_cp_distribution_demo_runs():

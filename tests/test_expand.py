@@ -9,6 +9,7 @@ import pytest
 from cptables import (
     BinaryTable,
     InvariantError,
+    draw_accepted_tables,
     exact_count,
     exact_enumerate,
     expand_paths,
@@ -117,6 +118,18 @@ def test_sampler_log_q_agrees_with_expansion():
             assert seen > 100
 
 
+@pytest.mark.parametrize("proposal", PROPOSALS)
+@pytest.mark.parametrize("m", [_two_way(), _four_way()], ids=["d2", "d4"])
+def test_single_layer_q_is_the_samplers_bit_for_bit(m, proposal):
+    # one layer: the expander folds the same draw scores in the same order
+    # as the sampler, so q is exp of the sampler's log q exactly
+    px = expand_paths(m, proposal=proposal)
+    outs, _ = draw_accepted_tables(m, 300, seed=5, proposal=proposal)
+    assert len(outs) == 300
+    for o in outs:
+        assert px.tables[o.table.cells.tobytes()] == math.exp(o.log_q)
+
+
 def test_monte_carlo_acceptance_matches_exact_mass():
     m = fixture("ex5_9")
     exact = expand_paths(m).acceptance
@@ -177,13 +190,14 @@ def test_expansion_leaves_no_cyclic_garbage():
 
 
 def test_two_paths_to_one_table_raise(monkeypatch):
-    # a chooser that offers every subset twice reaches each table twice
+    # a draw that offers every subset twice reaches each table twice; the
+    # expander's subsets come from cpdist.cp_branches
     def twice(items, size):
         for picked in combinations(items, size):
             yield picked
             yield picked
 
-    monkeypatch.setattr("cptables.expand.combinations", twice)
+    monkeypatch.setattr("cptables.cpdist.combinations", twice)
     with pytest.raises(InvariantError, match="two proposal paths"):
         expand_paths(fixture("ex5_2"))
 
@@ -198,8 +212,11 @@ def _expansion_digest(px) -> str:
     return h.hexdigest()
 
 
-# recorded from the plain (unmemoized) walk: every q, the reject mass and
-# the leaf count must stay bit-for-bit the same
+# every q, the reject mass and the leaf count must stay bit-for-bit the
+# same; the plain (unmemoized) walk gives these digests too.  The ex5_6
+# and semimagic-4-2 digests were re-recorded when the edges took the draw's
+# own scores (cpdist.cp_branches): the same tables and leaf counts, each q
+# within 2e-15 relative of the forward-table sums it replaced
 EXPANSION_DIGESTS = {
     ("semimagic-4-1", "classic", 0): "974ef8792dd20f4ff556b356edc914945b9a05c8397d123790f4ae60318426e7",
     ("semimagic-4-1", "classic", 1): "5587e18b9a095f59e7a9947b3912d65cdceb387f5e5b2d766a7ab52f797a3480",
@@ -207,13 +224,13 @@ EXPANSION_DIGESTS = {
     ("semimagic-4-1", "guided", 0): "974ef8792dd20f4ff556b356edc914945b9a05c8397d123790f4ae60318426e7",
     ("semimagic-4-1", "guided", 1): "5587e18b9a095f59e7a9947b3912d65cdceb387f5e5b2d766a7ab52f797a3480",
     ("semimagic-4-1", "guided", 2): "86e33fe6ee67226e7dd9c13f6226796c0e1c031fe33957c5e3b09eb2120cb313",
-    ("ex5_6", "classic", 0): "69ca7ee846eadcaf4b71f4a7a6a05e20a63e1d8b71d95181a0848f2073863155",
-    ("ex5_6", "classic", 1): "ef78e26c83a4a656c11fa7ee379aaff2fba11bd348bf22da0de9ec3da870aee8",
-    ("ex5_6", "classic", 2): "fe22503b94acddd36784b8bbb325190146da9286eb7875bf8d72cd4fce34211d",
-    ("ex5_6", "guided", 0): "a65566950929f515aaadb6ca24c2a4a6725b7e1f2befc629d957b7f421535999",
-    ("ex5_6", "guided", 1): "f1ad7d25eff7a4d75f59e72bc0f3f2d6ea230ef6e1adec056bc99df0b63dcd91",
-    ("ex5_6", "guided", 2): "98f9d658728831adadcfa259e4d574409f61bb6361b66dfa98aa0186de8c1a82",
-    ("semimagic-4-2", "classic", 0): "8a0ea97f61188c19a13045f296a26b4a1516177a378660e2f3fa1011d7f8aadd",
+    ("ex5_6", "classic", 0): "b12bdd3077c5d461de325df0a11b35d4216ed15b625baf6113004640860fbd25",
+    ("ex5_6", "classic", 1): "a3f176988434c8eddcd450b481e6b33162c1a9c58fe55ce3ca8a6c29a2ad5187",
+    ("ex5_6", "classic", 2): "1ce0f5fd3b2ae4824ab6b6def4881b63dd48b6c1631ea13082aef73bb226b266",
+    ("ex5_6", "guided", 0): "70c242c5fdb15943d3c33c4c3dd19fb1db0c92408ac601eb3506b59b56bc41fc",
+    ("ex5_6", "guided", 1): "949256ed957e51a659e12b9c8d00f9cddab376d5f7de5e46b9c4109dd670648c",
+    ("ex5_6", "guided", 2): "5e5f55289abeec9f1cb553c8d877b46b98383ca7f58119a2d243da0796f1ec93",
+    ("semimagic-4-2", "classic", 0): "a56f5b44f90fadb58c212bec16b120229f7e8c6e0e425ee90f635fd79e77b65d",
 }
 
 

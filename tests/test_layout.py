@@ -46,9 +46,8 @@ def test_every_relative_import_names_the_defining_module():
     assert found == []
 
 
-def test_only_layers_runs_the_layer_end_pass_and_the_layer_order():
-    # the walk's layer order and layer-end rule have one home, Walk.advance
-    walk_steps = {"close_saturated", "next_layer"}
+def _calls_outside_layers(names: set[str]) -> list[str]:
+    """Calls to any of names in a module other than layers.py."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "layers.py":
@@ -57,6 +56,17 @@ def test_only_layers_runs_the_layer_end_pass_and_the_layer_order():
             if isinstance(node, ast.Call):
                 f = node.func
                 name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-                if name in walk_steps:
+                if name in names:
                     found.append(f"{path.name}:{node.lineno}: {name}")
-    assert found == []
+    return found
+
+
+def test_only_layers_runs_the_layer_end_pass_and_the_layer_order():
+    # the walk's layer order and layer-end rule have one home, Walk.advance
+    assert _calls_outside_layers({"close_saturated", "next_layer"}) == []
+
+
+def test_only_layers_sets_up_a_line():
+    # a line's weights, draw size and early rejections have one home,
+    # layers.open_line, for the sampler and the expander alike
+    assert _calls_outside_layers({"line_weights"}) == []

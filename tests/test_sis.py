@@ -65,7 +65,7 @@ def test_run_sis_is_worker_count_invariant():
 
 
 def test_run_sis_with_more_workers_than_samples():
-    # three one-sample chunks; the pool starts one process per chunk
+    # three one-sample chunks
     m = fixture("ex5_9")
     one = run_sis(m, SisConfig(samples=3, seed=4, workers=1))
     four = run_sis(m, SisConfig(samples=3, seed=4, workers=4))
@@ -614,8 +614,9 @@ def test_run_sis_checks_its_input_before_starting_a_pool(monkeypatch):
 
 
 def test_run_sis_caps_the_pool_at_the_cpu_count(monkeypatch):
-    # the chunks stay one per worker; the pool runs them on at most one
-    # process per CPU, and each index's own stream keeps the weights
+    # the chunks stay one per worker, at most one per sample; the pool runs
+    # them on at most one process per CPU, a lone chunk runs with no pool,
+    # and each index's own stream keeps the weights
     sizes, chunks = [], []
 
     class InProcessPool:
@@ -629,15 +630,22 @@ def test_run_sis_caps_the_pool_at_the_cpu_count(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            chunks.append(len(iterables[0]))
+            chunks.append(list(zip(*iterables[4:])))  # (lo, hi) per chunk
             return map(fn, *iterables)
 
     monkeypatch.setattr("cptables.sis.ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     m = fixture("ex5_9")
+    ones = [(i, i + 1) for i in range(8)]
     eight = run_sis(m, SisConfig(samples=8, seed=3, workers=8))
-    assert (sizes, chunks) == ([2], [8])
+    assert (sizes, chunks) == ([2], [ones])
     assert eight.tobytes() == run_sis(m, SisConfig(samples=8, seed=3)).tobytes()
+    many = run_sis(m, SisConfig(samples=4, seed=3, workers=10**6))
+    assert (sizes, chunks) == ([2, 2], [ones, ones[:4]])
+    assert many.tobytes() == run_sis(m, SisConfig(samples=4, seed=3)).tobytes()
+    lone = run_sis(m, SisConfig(samples=1, seed=3, workers=8))
+    assert len(sizes) == 2
+    assert lone.tobytes() == eight[:1].tobytes()
 
 
 WALK_ENTRY_POINTS = {
