@@ -9,16 +9,25 @@ The counter memoizes: below a node every cell before the cursor is set, so
 the number of completions depends only on which cells from the cursor on
 are free and on the residual margins (see TableState.memo_key).  Keyed by
 those as bytes, each subtree's count is stored when it closes and reused on
-a hit.  The memo grows with the expanded nodes (about 7 MB on
-semimagic-5-1, the 161280 order-5 Latin squares).  The enumerator keeps the
-plain search: it must visit every table.  Desk scale only: the node budget
-guards against accidentally launching an astronomically large search, and
-so also bounds the counter's memo.
+a hit.  When the margins have two interchangeable indices on some axis
+b >= 1 (their slices are equal in every margin that holds axis b), a node
+whose first free cell opens a later axis-0 slice than its parent's is keyed
+instead on TableState.slice_key, in a memo of its own: the rest of the
+table with the indices of axes 1..d-1 reordered by the state, so
+subproblems that differ only by a relabelling of those indices are counted
+once (semimagic-5-1, the 161280 order-5 Latin squares: 408 nodes instead
+of 61,798).  The memo grows with the expanded nodes (about 0.1 MB on
+semimagic-5-1 and 17 MB on semimagic-5-2, by tracemalloc peak).  The
+enumerator keeps the plain search: it must visit every table.  Desk scale
+only: the node budget guards against accidentally launching an
+astronomically large search, and so also bounds the counter's memo.
 """
 
 from __future__ import annotations
 
 from collections import deque
+
+import numpy as np
 
 from .reduction import FREE, TableState
 from .tables import BinaryTable, CPTablesError, MarginalSet, validate_marginals
@@ -46,19 +55,23 @@ def exact_count(m: MarginalSet, budget: int | None = None) -> int:
     ncells = state.geo.ncells
     if cursor == ncells:
         return 1
+    # cells per axis-0 slice; without interchangeable indices every node
+    # keys on memo_key (no branch leaves the one slice of width ncells)
+    width = ncells // m.dims.sizes[0] if _interchangeable(m) else ncells
     memo: dict[bytes, int] = {}
+    slice_memo: dict[bytes, int] = {}  # slice entries, on slice_key
     count = nodes = 0
-    # explicit stack of (cursor, next_value, trail_mark, memo key, count on
+    # explicit stack of (cursor, next_value, trail_mark, memo, key, count on
     # entry); a frame's subtree count is the growth of `count` while it is
     # open.  The root's key b"" is never looked up.
-    stack = [(cursor, 0, state.mark(), b"", 0)]
+    stack = [(cursor, 0, state.mark(), memo, b"", 0)]
     while stack:
-        cursor, value, mark, key, entry = stack.pop()
+        cursor, value, mark, table, key, entry = stack.pop()
         if value > 1:
-            memo[key] = count - entry
+            table[key] = count - entry
             state.undo_to(mark)
             continue
-        stack.append((cursor, value + 1, mark, key, entry))
+        stack.append((cursor, value + 1, mark, table, key, entry))
         nodes += 1
         if budget is not None and nodes > budget:
             raise EnumerationBudgetError(nodes, count)
@@ -67,10 +80,13 @@ def exact_count(m: MarginalSet, budget: int | None = None) -> int:
         if nxt == ncells:
             count += 1
         elif nxt >= 0:
-            key = state.memo_key(nxt)  # its length pins the cursor
-            hit = memo.get(key)
+            if nxt // width > cursor // width:  # a slice entry
+                table, key = slice_memo, state.slice_key(nxt // width)
+            else:
+                table, key = memo, state.memo_key(nxt)  # its length pins the cursor
+            hit = table.get(key)
             if hit is None:
-                stack.append((nxt, 0, branch_mark, key, count))
+                stack.append((nxt, 0, branch_mark, table, key, count))
                 continue
             count += hit
         state.undo_to(branch_mark)
@@ -126,6 +142,23 @@ def _root(m: MarginalSet) -> tuple[TableState | None, int]:
     if state.initial_reduce() >= 0:
         return None, 0
     return state, _first_free(state.cells, 0)
+
+
+def _interchangeable(m: MarginalSet) -> bool:
+    """Whether some axis b >= 1 has two indices whose slices are equal in
+    every margin that holds axis b.  Only then do subproblems that differ by
+    a relabelling of indices arise often enough to pay for slice_key."""
+    sizes = m.dims.sizes
+    for b in range(1, m.dims.d):
+        # one row per index of axis b: its slices of the margins over the
+        # other axes, side by side (axis b sits one place lower in margins
+        # over an axis before it)
+        rows = np.concatenate([
+            mg.swapaxes(0, b - (a < b)).reshape(sizes[b], -1)
+            for a, mg in enumerate(m.margins) if a != b], axis=1)
+        if len({r.tobytes() for r in rows}) < sizes[b]:
+            return True
+    return False
 
 
 def _branch(state: TableState, cursor: int, value: int) -> int:

@@ -64,14 +64,15 @@ class _Geometry:
     Lines get flat ids: axis a's block starts at offset[a], ordered like the
     C-order flattening of the margin array over axis a (so the worklist seed
     scans axes 0,1,2,... deterministically).  line_cells lists a line's
-    cells, cell_lines a cell's d lines in axis order, and crossing, filled
+    cells, cell_lines a cell's d lines in axis order (line_grid holds the
+    same ids as an array of the table's shape by d), and crossing, filled
     per line on first use by crossings(), each cell of a line with the
     other lines through it: the pairs line_weights loops over.  Shared
     across states of the same shape.
     """
 
     __slots__ = ("sizes", "d", "ncells", "nlines", "offset", "line_cells",
-                 "cell_lines", "crossing", "line_axis", "rs_code")
+                 "cell_lines", "line_grid", "crossing", "line_axis", "rs_code")
 
     def __init__(self, sizes: tuple[int, ...]):
         self.sizes = sizes
@@ -96,6 +97,7 @@ class _Geometry:
             np.moveaxis(lines[..., a], a, -1)[...] = (
                 lo + np.arange(ncells // sizes[a])).reshape(along.shape[:-1] + (1,))
         self.nlines = len(self.line_cells)
+        self.line_grid = lines
         self.cell_lines: list[tuple[int, ...]] = list(
             map(tuple, lines.reshape(ncells, d).tolist()))
         self.crossing: list[list[tuple] | None] = [None] * self.nlines
@@ -270,6 +272,35 @@ class TableState:
         rs = self.rs
         head = bytes(rs) if self.geo.rs_code == "B" else array("I", rs).tobytes()
         return head + bytes(self.cells[start:]).translate(_FREE)
+
+    def slice_key(self, first: int) -> bytes:
+        """The exact counter's key for a node whose cells before axis-0
+        slice `first` are all set: the free pattern of the slices from
+        `first` on (1 free / 0 set), then the residual of every line through
+        them, axis by axis, at memo_key's width.  The subproblem depends
+        only on these, and relabelling the indices of an axis maps it to an
+        isomorphic one with as many completions.  So before the key is
+        written the indices of each axis 1..d-1 are reordered by the state
+        itself: each axis's index slices, holding every cell's free flag
+        and its lines' residuals, are sorted by their bytes, over all those
+        axes, twice.  Two states with equal keys then have the same count;
+        states that differ only by such a relabelling mostly share one."""
+        geo = self.geo
+        dtype = np.uint8 if geo.rs_code == "B" else np.uint32
+        cells = np.frombuffer(bytes(self.cells), np.uint8).reshape(geo.sizes)
+        # per cell of the slices from `first` on: its free flag, then the
+        # residual of each of its d lines
+        grid = np.concatenate(
+            ((cells[first:, ..., None] == FREE).astype(dtype),
+             np.array(self.rs, dtype)[geo.line_grid[first:]]), axis=-1)
+        for _ in range(2):
+            for b in range(1, geo.d):
+                rows = [r.tobytes() for r in grid.swapaxes(0, b)]
+                grid = grid.take(sorted(range(len(rows)), key=rows.__getitem__),
+                                 axis=b)
+        # each axis-a line crosses index 0 of axis a once
+        return b"".join([grid[..., 0].astype(np.uint8).tobytes()] + [
+            grid[..., a + 1].take(0, axis=a).tobytes() for a in range(geo.d)])
 
     def cells_array(self) -> np.ndarray:
         """The cells as a read-only int8 array of the table's shape, a

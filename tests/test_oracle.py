@@ -1,3 +1,4 @@
+from collections import deque
 import gc
 from itertools import product
 
@@ -18,7 +19,8 @@ from cptables import (
     marginals_of,
     semimagic_margins,
 )
-from cptables.oracle import EnumerationBudgetError
+from cptables.oracle import EnumerationBudgetError, _interchangeable
+from cptables.reduction import FREE, TableState
 from cptables.layers import PROPOSALS
 
 KNOWN_COUNTS = {
@@ -114,17 +116,117 @@ def test_semimagic_count_with_many_memo_hits():
 
 
 def test_memo_keys_on_the_free_pattern_not_the_set_values():
-    # keyed on free cells and residuals the count expands 12,924 nodes;
-    # keying on the set cells' values as well takes 23,328
-    assert exact_count(fixture("semimagic-4-2"), budget=15_000) == 51678
+    # keyed on free cells and residuals the count expands 672 nodes;
+    # keying memo_key on the set cells' values as well takes 796
+    assert exact_count(fixture("semimagic-4-2"), budget=700) == 51678
     with pytest.raises(EnumerationBudgetError) as err:
-        exact_count(fixture("semimagic-4-2"), budget=12_923)
-    assert err.value.nodes == 12_924
+        exact_count(fixture("semimagic-4-2"), budget=671)
+    assert err.value.nodes == 672
+
+
+def test_inputs_without_interchangeable_indices_keep_the_plain_memo():
+    # no slice keys: ex5_6 and a seeded 4 x 5 x 6 table expand as many
+    # nodes as a count keyed on memo_key alone
+    rng = np.random.default_rng(3)
+    cells = (rng.random((4, 5, 6)) < 0.5).astype(np.int8)
+    for m, nodes in ((fixture("ex5_6"), 36),
+                     (marginals_of(BinaryTable.from_array(cells)), 618)):
+        assert not _interchangeable(m)
+        with pytest.raises(EnumerationBudgetError) as err:
+            exact_count(m, budget=nodes - 1)
+        assert err.value.nodes == nodes
+
+
+def _with_copied_slice(rng, d):
+    """A random d-way table (sides 2 to 5, 4 or 3 as d is 2, 3 or 4) with
+    one index slice copied onto another along an axis >= 1, so the two
+    indices are interchangeable in its margins."""
+    sizes = tuple(int(rng.integers(2, 7 - d)) for _ in range(d))
+    cells = (rng.random(sizes) < rng.uniform(0.2, 0.8)).astype(np.int8)
+    b = int(rng.integers(1, d))
+    src, dst = rng.choice(sizes[b], size=2, replace=False)
+    cells = np.moveaxis(cells, b, 0)
+    cells[dst] = cells[src]
+    return np.moveaxis(cells, 0, b)
+
+
+def test_slice_keys_count_tables_with_interchangeable_indices():
+    rng = np.random.default_rng(25)
+    for d in (2, 3, 4):
+        for _ in range(40):
+            m = marginals_of(BinaryTable.from_array(_with_copied_slice(rng, d)))
+            assert _interchangeable(m)
+            assert exact_count(m) == len(exact_enumerate(m)) >= 1
+
+
+def _slice_entry_states(table, tables, rng, picks):
+    """Reduced states of the table's margins with every cell of the axis-0
+    slices before `first` set as in one of `tables`, each with its `first`
+    and its number of completions among `tables`."""
+    sizes = table.shape
+    width = table.size // sizes[0]
+    flat = [t.ravel() for t in tables]
+    for _ in range(picks):
+        first = int(rng.integers(1, sizes[0]))
+        fill = flat[int(rng.integers(len(flat)))][:first * width]
+        state = TableState.from_marginals(marginals_of(BinaryTable.from_array(table)))
+        assert state.initial_reduce() < 0
+        pending = deque()
+        for cid, v in enumerate(fill.tolist()):
+            if state.cells[cid] == FREE:
+                state.set_cell(cid, v, pending)
+        assert state.propagate(pending) < 0
+        cells = np.array(state.cells)
+        set_ = cells != FREE
+        completions = sum(np.array_equal(t[set_], cells[set_]) for t in flat)
+        yield state, first, completions
+
+
+def test_slice_keys_are_shared_only_by_subproblems_with_equal_counts():
+    # random slice-entry states of tables with interchangeable indices and
+    # of copies relabelled along axes 1..d-1: states with equal keys have
+    # as many completions, and relabelled copies do share keys
+    rng = np.random.default_rng(26)
+    shared = 0
+    for d in (2, 3, 4):
+        for _ in range(12):
+            table = _with_copied_slice(rng, d)
+            seen: dict[bytes, tuple[int, int]] = {}
+            for copy in range(3):
+                for b in range(1, d):
+                    table = np.take(table, rng.permutation(table.shape[b]), axis=b)
+                m = marginals_of(BinaryTable.from_array(table))
+                tables = [t.cells for t in exact_enumerate(m)]
+                for state, first, n in _slice_entry_states(table, tables, rng, 8):
+                    key = state.slice_key(first)
+                    was, n_was = seen.setdefault(key, (copy, n))
+                    assert n_was == n
+                    shared += was != copy
+    assert shared >= 100
+
+
+def test_slice_keys_write_wide_residuals_in_full():
+    # 3 x 300 tables with an empty first row and one 1 per column below it:
+    # the second and third rows' residuals 1 and 299, or 257 and 43, agree
+    # modulo 256, and everything else in the two slice keys is the same
+    keys = []
+    for ones in (1, 257):
+        cells = np.zeros((3, 300), dtype=np.int8)
+        cells[1, :ones] = 1
+        cells[2, ones:] = 1
+        state = TableState.from_marginals(marginals_of(BinaryTable.from_array(cells)))
+        assert state.initial_reduce() < 0
+        assert state.geo.rs_code == "I"
+        assert state.cells.index(FREE) == 300  # row 0 set, rows 1 and 2 free
+        keys.append(state.slice_key(1))
+    assert keys[0] != keys[1]
+    assert len(keys[0]) == 2 * 300 + 4 * (300 + 2)
 
 
 def test_latin_square_counts():
     assert exact_count(semimagic_margins(3, 1)) == 12
     assert exact_count(semimagic_margins(4, 1)) == 576
+    assert exact_count(semimagic_margins(6, 1)) == 812_851_200
 
 
 def test_four_way_count():
@@ -200,7 +302,7 @@ def test_count_leaves_no_cyclic_garbage():
     try:
         assert exact_count(m) == 576
         with pytest.raises(EnumerationBudgetError):
-            exact_count(m, budget=100)
+            exact_count(m, budget=50)  # the count takes 68 nodes
         assert gc.collect() == 0
     finally:
         gc.enable()
