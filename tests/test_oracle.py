@@ -141,7 +141,7 @@ def _with_copied_slice(rng, d):
     """A random d-way table (sides 2 to 5, 4 or 3 as d is 2, 3 or 4) with
     one index slice copied onto another along an axis >= 1, so the two
     indices are interchangeable in its margins."""
-    sizes = tuple(int(rng.integers(2, 7 - d)) for _ in range(d))
+    sizes = tuple(int(rng.integers(2, 8 - d)) for _ in range(d))
     cells = (rng.random(sizes) < rng.uniform(0.2, 0.8)).astype(np.int8)
     b = int(rng.integers(1, d))
     src, dst = rng.choice(sizes[b], size=2, replace=False)
