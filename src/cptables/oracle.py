@@ -147,7 +147,11 @@ def _root(m: MarginalSet) -> tuple[TableState | None, int]:
 def _interchangeable(m: MarginalSet) -> bool:
     """Whether some axis b >= 1 has two indices whose slices are equal in
     every margin that holds axis b.  Only then do subproblems that differ by
-    a relabelling of indices arise often enough to pay for slice_key."""
+    a relabelling of indices arise often enough to pay for slice_key.
+    Keying every slice entry on slice_key regardless (timeit, a 2-CPU Linux
+    host) takes the 7 x 7 x 3 desk network from 194 nodes in 2.4 ms to 186
+    in 5.0 ms, and slows the ex5 fixtures by up to 60% (ex5_5 0.18 to
+    0.29 ms, ex5_6 0.40 to 0.58 ms with 32 nodes for 36); none got faster."""
     sizes = m.dims.sizes
     for b in range(1, m.dims.d):
         # one row per index of axis b: its slices of the margins over the

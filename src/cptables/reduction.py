@@ -284,7 +284,11 @@ class TableState:
         itself: each axis's index slices, holding every cell's free flag
         and its lines' residuals, are sorted by their bytes, over all those
         axes, twice.  Two states with equal keys then have the same count;
-        states that differ only by such a relabelling mostly share one."""
+        states that differ only by such a relabelling mostly share one.
+        The second pass pays for itself: with one, semimagic-5-1 takes 532
+        nodes (408 with two), L(6) 7,172 (3,892) and semimagic-5-2 about
+        8 s (4 s).  A third cuts only L(6)'s nodes, to 3,700, and takes
+        semimagic-5-2 to about 5.5 s."""
         geo = self.geo
         dtype = np.uint8 if geo.rs_code == "B" else np.uint32
         cells = np.frombuffer(bytes(self.cells), np.uint8).reshape(geo.sizes)

@@ -126,7 +126,8 @@ def test_memo_keys_on_the_free_pattern_not_the_set_values():
 
 def test_inputs_without_interchangeable_indices_keep_the_plain_memo():
     # no slice keys: ex5_6 and a seeded 4 x 5 x 6 table expand as many
-    # nodes as a count keyed on memo_key alone
+    # nodes as a count keyed on memo_key alone (slice keys would save ex5_6
+    # four nodes and cost it half as much time again; see _interchangeable)
     rng = np.random.default_rng(3)
     cells = (rng.random((4, 5, 6)) < 0.5).astype(np.int8)
     for m, nodes in ((fixture("ex5_6"), 36),
