@@ -22,18 +22,27 @@ from itertools import combinations
 import numpy as np
 
 from cptables import BinaryTable, marginals_of
-from cptables.cpdist import cp_draft_sample, cp_log_pmf, log_esym_table
+from cptables.cpdist import cp_draft_sample, cp_log_pmf
 from cptables.layers import line_weights
 from cptables.reduction import TableState
+
+
+def esym_table(w) -> list[float]:
+    """R(s, w) for s = 0..len(w): add the items one at a time, each
+    turning R(s, items so far) into R(s, ...) + w_item * R(s - 1, ...)."""
+    table = [1.0] + [0.0] * len(w)
+    for x in w:
+        for s in range(len(w), 0, -1):
+            table[s] += x * table[s - 1]
+    return table
 
 
 def main() -> None:
     w = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
     print(f"weights: {w}")
-    table = log_esym_table(w, len(w))
     print("elementary symmetric values R(s, w):")
-    for s, logv in enumerate(table):
-        print(f"  s={s}: {math.exp(logv):.4f}")
+    for s, value in enumerate(esym_table(w)):
+        print(f"  s={s}: {value:.4f}")
 
     size = 2
     print(f"\nexact pmf over size-{size} subsets:")

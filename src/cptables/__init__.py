@@ -8,12 +8,7 @@ estimate the number of tables; an exact depth-first enumerator covers desk
 scale for validation.
 """
 
-from .cpdist import (
-    CPInfeasibleError,
-    cp_draft_sample,
-    cp_log_pmf,
-    log_esym_table,
-)
+from .cpdist import CPInfeasibleError, cp_draft_sample, cp_log_pmf
 from .estimator import (
     BootstrapCI,
     EstimateReport,
@@ -85,7 +80,6 @@ __all__ = [
     "fixture_names",
     "format_count_from_log",
     "format_marginals",
-    "log_esym_table",
     "marginals3",
     "marginals_of",
     "parse_marginal_file",

@@ -20,7 +20,6 @@ to max 1; zero weights are allowed and never selected.
     with the same bits.
   * cp_branches rebuilds that table once and gives subsets the draw's
     log_prob, bit for bit: the expander's branches, or cp_log_pmf's one.
-  * log_esym_table reads log R(s, w) off the table of the weights in order.
 """
 
 from __future__ import annotations
@@ -94,19 +93,6 @@ def _columns(x: list[float], size: int) -> list[list[float]]:
         col = list(accumulate(map(mul, x, col), initial=0.0))
         cols.append(col)
     return cols
-
-
-def log_esym_table(w, smax: int) -> list[float]:
-    """log R(s, w) for s = 0..smax; -inf where R = 0."""
-    w, pos = _positive(w)
-    smax = int(smax)
-    if smax < 0:
-        raise ValueError("smax must be >= 0")
-    wmax = max(w) if pos else 1.0
-    log_wmax = math.log(wmax)
-    cols = _columns([w[j] / wmax for j in pos], smax)
-    return [math.log(col[-1]) + log_wmax * s if col[-1] > 0.0 else -math.inf
-            for s, col in enumerate(cols)]
 
 
 def cp_log_pmf(w, size: int, subset) -> float:

@@ -11,16 +11,19 @@ are free and on the residual margins (see TableState.memo_key).  Keyed by
 those as bytes, each subtree's count is stored when it closes and reused on
 a hit.  When the margins have two interchangeable indices on some axis
 b >= 1 (their slices are equal in every margin that holds axis b), a node
-whose first free cell opens a later axis-0 slice than its parent's is keyed
-instead on TableState.slice_key, in a memo of its own: the rest of the
-table with the indices of axes 1..d-1 reordered by the state, so
-subproblems that differ only by a relabelling of those indices are counted
-once (semimagic-5-1, the 161280 order-5 Latin squares: 408 nodes instead
-of 61,798).  The memo grows with the expanded nodes (about 0.1 MB on
-semimagic-5-1 and 17 MB on semimagic-5-2, by tracemalloc peak).  The
-enumerator keeps the plain search: it must visit every table.  Desk scale
-only: the node budget guards against accidentally launching an
-astronomically large search, and so also bounds the counter's memo.
+whose first free cell starts a later last-axis row than its parent's
+(every axis-0 slice entry is such a row start) is keyed instead on
+TableState.slice_key of the slice holding that cell, in a memo of its own:
+the rest of the table with the indices of axes 1..d-1 reordered by the
+state, so subproblems that differ only by a relabelling of those indices
+are counted once (semimagic-5-1, the 161280 order-5 Latin squares: 110
+nodes, 408 with these keys at slice entries only and 61,798 with none;
+L(7) takes 27,906 and semimagic-5-2 52,114).  The memo grows with the
+expanded nodes (about 0.04 MB on semimagic-5-1 and 5.5 MB on semimagic-5-2,
+by tracemalloc peak).  The enumerator keeps the plain search: it must
+visit every table.  Desk scale only: the node budget guards against
+accidentally launching an astronomically large search, and so also bounds
+the counter's memo.
 """
 
 from __future__ import annotations
@@ -55,11 +58,14 @@ def exact_count(m: MarginalSet, budget: int | None = None) -> int:
     ncells = state.geo.ncells
     if cursor == ncells:
         return 1
-    # cells per axis-0 slice; without interchangeable indices every node
-    # keys on memo_key (no branch leaves the one slice of width ncells)
-    width = ncells // m.dims.sizes[0] if _interchangeable(m) else ncells
+    # cells per axis-0 slice and per last-axis row; without interchangeable
+    # indices every node keys on memo_key (no branch leaves the one row of
+    # ncells cells)
+    width = row = ncells
+    if _interchangeable(m):
+        width, row = ncells // m.dims.sizes[0], m.dims.sizes[-1]
     memo: dict[bytes, int] = {}
-    slice_memo: dict[bytes, int] = {}  # slice entries, on slice_key
+    slice_memo: dict[bytes, int] = {}  # row starts, on slice_key
     count = nodes = 0
     # explicit stack of (cursor, next_value, trail_mark, memo, key, count on
     # entry); a frame's subtree count is the growth of `count` while it is
@@ -80,7 +86,7 @@ def exact_count(m: MarginalSet, budget: int | None = None) -> int:
         if nxt == ncells:
             count += 1
         elif nxt >= 0:
-            if nxt // width > cursor // width:  # a slice entry
+            if nxt // row > cursor // row:  # a row start (slice entries too)
                 table, key = slice_memo, state.slice_key(nxt // width)
             else:
                 table, key = memo, state.memo_key(nxt)  # its length pins the cursor
@@ -148,10 +154,11 @@ def _interchangeable(m: MarginalSet) -> bool:
     """Whether some axis b >= 1 has two indices whose slices are equal in
     every margin that holds axis b.  Only then do subproblems that differ by
     a relabelling of indices arise often enough to pay for slice_key.
-    Keying every slice entry on slice_key regardless (timeit, a 2-CPU Linux
-    host) takes the 7 x 7 x 3 desk network from 194 nodes in 2.4 ms to 186
-    in 5.0 ms, and slows the ex5 fixtures by up to 60% (ex5_5 0.18 to
-    0.29 ms, ex5_6 0.40 to 0.58 ms with 32 nodes for 36); none got faster."""
+    Keying every row start on slice_key regardless (timeit, a 2-CPU Linux
+    host) takes the 7 x 7 x 3 desk network from 194 nodes in 2.4 ms to
+    182 in 5.8-6.0 ms, and the 13 ex5 fixtures from 144 nodes in 2.5 ms to
+    130 in 3.3-3.5 ms in all.  At slice entries only, it took the desk network to 186 nodes in
+    5.0 ms and slowed ex5_5 from 0.18 to 0.29 ms; none got faster."""
     sizes = m.dims.sizes
     for b in range(1, m.dims.d):
         # one row per index of axis b: its slices of the margins over the

@@ -8,13 +8,21 @@ import sys
 import numpy as np
 import pytest
 
-from cptables import (
-    CPInfeasibleError,
-    cp_draft_sample,
-    cp_log_pmf,
-    log_esym_table,
-)
-from cptables.cpdist import UniformBlocks, cp_branches
+from cptables import CPInfeasibleError, cp_draft_sample, cp_log_pmf
+from cptables.cpdist import UniformBlocks, _columns, _positive, cp_branches
+
+
+def log_esym_table(w, smax):
+    """log R(s, w) for s = 0..smax, -inf where R = 0: the table the draw
+    reads, over the positive weights normalized to max 1, behind the
+    draw's weight check.  The reference the esym tests check."""
+    w, pos = _positive(w)
+    if smax < 0:
+        raise ValueError("smax must be >= 0")
+    wmax = max(w) if pos else 1.0
+    cols = _columns([w[j] / wmax for j in pos], smax)
+    return [math.log(col[-1]) + math.log(wmax) * s if col[-1] > 0.0 else -math.inf
+            for s, col in enumerate(cols)]
 
 
 def brute_esym(w, s):

@@ -116,12 +116,12 @@ def test_semimagic_count_with_many_memo_hits():
 
 
 def test_memo_keys_on_the_free_pattern_not_the_set_values():
-    # keyed on free cells and residuals the count expands 672 nodes;
-    # keying memo_key on the set cells' values as well takes 796
-    assert exact_count(fixture("semimagic-4-2"), budget=700) == 51678
+    # keyed on free cells and residuals the count expands 270 nodes;
+    # keying memo_key on the set cells' values as well takes 278
+    assert exact_count(fixture("semimagic-4-2"), budget=275) == 51678
     with pytest.raises(EnumerationBudgetError) as err:
-        exact_count(fixture("semimagic-4-2"), budget=671)
-    assert err.value.nodes == 672
+        exact_count(fixture("semimagic-4-2"), budget=269)
+    assert err.value.nodes == 270
 
 
 def test_inputs_without_interchangeable_indices_keep_the_plain_memo():
@@ -144,11 +144,34 @@ def _with_copied_slice(rng, d):
     indices are interchangeable in its margins."""
     sizes = tuple(int(rng.integers(2, 8 - d)) for _ in range(d))
     cells = (rng.random(sizes) < rng.uniform(0.2, 0.8)).astype(np.int8)
-    b = int(rng.integers(1, d))
-    src, dst = rng.choice(sizes[b], size=2, replace=False)
+    return _copy_a_slice(rng, cells)
+
+
+def _copy_a_slice(rng, cells):
+    """The cells with one index slice copied onto another along a random
+    axis >= 1."""
+    b = int(rng.integers(1, cells.ndim))
+    src, dst = rng.choice(cells.shape[b], size=2, replace=False)
     cells = np.moveaxis(cells, b, 0)
     cells[dst] = cells[src]
     return np.moveaxis(cells, 0, b)
+
+
+def _symmetric_table(rng, d):
+    """An n^d table (n = 5, 4 or 3 as d is 2, 3 or 4), cell x set where
+    x[-1] == p_0[x_0] + ... + p_{d-2}[x_{d-2}] + shift (mod n) for 1 or
+    n - 1 shifts, with up to two cells flipped and one slice copied: its
+    margins mostly admit tens to hundreds of tables, so cut states with
+    more than one completion are common."""
+    n = 7 - d
+    idx = np.indices((n,) * d)
+    line = sum(rng.permutation(n)[i] for i in idx[:-1])
+    cells = np.zeros((n,) * d, dtype=np.int8)
+    for shift in rng.choice(n, size=int(rng.choice((1, n - 1))), replace=False):
+        cells |= idx[-1] == (line + shift) % n
+    for flip in rng.integers(0, n, size=(int(rng.integers(0, 3)), d)):
+        cells[tuple(flip)] ^= 1
+    return _copy_a_slice(rng, cells)
 
 
 def test_slice_keys_count_tables_with_interchangeable_indices():
@@ -160,16 +183,16 @@ def test_slice_keys_count_tables_with_interchangeable_indices():
             assert exact_count(m) == len(exact_enumerate(m)) >= 1
 
 
-def _slice_entry_states(table, tables, rng, picks):
-    """Reduced states of the table's margins with every cell of the axis-0
-    slices before `first` set as in one of `tables`, each with its `first`
-    and its number of completions among `tables`."""
-    sizes = table.shape
-    width = table.size // sizes[0]
+def _cut_states(table, tables, rng, picks, step):
+    """Reduced states of the table's margins with every cell before a cut
+    set as in one of `tables`, each with its cut and its number of
+    completions among `tables`.  The cut falls on a multiple of `step`
+    cells: the axis-0 slice width for slice entries, the last axis's
+    length for row starts."""
     flat = [t.ravel() for t in tables]
     for _ in range(picks):
-        first = int(rng.integers(1, sizes[0]))
-        fill = flat[int(rng.integers(len(flat)))][:first * width]
+        cut = step * int(rng.integers(1, table.size // step))
+        fill = flat[int(rng.integers(len(flat)))][:cut]
         state = TableState.from_marginals(marginals_of(BinaryTable.from_array(table)))
         assert state.initial_reduce() < 0
         pending = deque()
@@ -180,30 +203,60 @@ def _slice_entry_states(table, tables, rng, picks):
         cells = np.array(state.cells)
         set_ = cells != FREE
         completions = sum(np.array_equal(t[set_], cells[set_]) for t in flat)
-        yield state, first, completions
+        yield state, cut, completions
 
 
-def test_slice_keys_are_shared_only_by_subproblems_with_equal_counts():
-    # random slice-entry states of tables with interchangeable indices and
-    # of copies relabelled along axes 1..d-1: states with equal keys have
-    # as many completions, and relabelled copies do share keys
-    rng = np.random.default_rng(26)
-    shared = 0
+def _shared_keys(rng, make_table, row_starts, picks=8):
+    """Key random cut states of tables from make_table, d = 2, 3 and 4, and
+    of copies relabelled along axes 1..d-1, on slice_key: the cuts enter a
+    slice, or start a last-axis row if row_starts.  A key fixes the free
+    cells and the residual of every line through them, so it fixes the
+    count whatever the margins: keys are pooled over all tables of a
+    shape.  Asserts that states with equal keys have as many completions;
+    returns how many keys a relabelled copy of the same table shared (for
+    row starts only at cuts inside a slice) and how many states had more
+    than one completion."""
+    seen: dict[tuple, tuple[tuple, int]] = {}
+    shared = several = 0
     for d in (2, 3, 4):
-        for _ in range(12):
-            table = _with_copied_slice(rng, d)
-            seen: dict[bytes, tuple[int, int]] = {}
+        for i in range(12):
+            table = make_table(rng, d)
             for copy in range(3):
                 for b in range(1, d):
                     table = np.take(table, rng.permutation(table.shape[b]), axis=b)
                 m = marginals_of(BinaryTable.from_array(table))
+                assert _interchangeable(m)
                 tables = [t.cells for t in exact_enumerate(m)]
-                for state, first, n in _slice_entry_states(table, tables, rng, 8):
-                    key = state.slice_key(first)
-                    was, n_was = seen.setdefault(key, (copy, n))
+                width = table.size // table.shape[0]
+                step = table.shape[-1] if row_starts else width
+                for state, cut, n in _cut_states(table, tables, rng, picks, step):
+                    key = table.shape, state.slice_key(cut // width)
+                    (was, was_copy), n_was = seen.setdefault(key, (((d, i), copy), n))
                     assert n_was == n
-                    shared += was != copy
+                    shared += (was == (d, i) and was_copy != copy
+                               and (not row_starts or cut % width != 0))
+                    several += n > 1
+    return shared, several
+
+
+def test_slice_keys_are_shared_only_by_subproblems_with_equal_counts():
+    # slice-entry states: equal keys, equal counts; relabelled copies do
+    # share keys
+    shared, _ = _shared_keys(np.random.default_rng(26), _with_copied_slice,
+                             row_starts=False)
     assert shared >= 100
+
+
+def test_row_start_keys_are_shared_only_by_subproblems_with_equal_counts():
+    # exact_count keys every row start on slice_key, in one memo with the
+    # slice entries: the same holds with the cells set up to a last-axis
+    # row boundary, and copies share keys at cuts inside a slice too.  The
+    # tables admit many completions, so a key that drops what fixes the
+    # count is caught
+    shared, several = _shared_keys(np.random.default_rng(27), _symmetric_table,
+                                   row_starts=True, picks=24)
+    assert shared >= 100
+    assert several >= 500
 
 
 def test_slice_keys_write_wide_residuals_in_full():
@@ -228,6 +281,12 @@ def test_latin_square_counts():
     assert exact_count(semimagic_margins(3, 1)) == 12
     assert exact_count(semimagic_margins(4, 1)) == 576
     assert exact_count(semimagic_margins(6, 1)) == 812_851_200
+    assert exact_count(semimagic_margins(7, 1)) == 61_479_419_904_000  # A002860
+
+
+def test_semimagic_5_2_count():
+    # the count of 5 x 5 x 5 zero-one cubes with every line sum 2
+    assert exact_count(semimagic_margins(5, 2)) == 25_509_317_760
 
 
 def test_four_way_count():
@@ -303,7 +362,7 @@ def test_count_leaves_no_cyclic_garbage():
     try:
         assert exact_count(m) == 576
         with pytest.raises(EnumerationBudgetError):
-            exact_count(m, budget=50)  # the count takes 68 nodes
+            exact_count(m, budget=20)  # the count takes 30 nodes
         assert gc.collect() == 0
     finally:
         gc.enable()
