@@ -19,11 +19,11 @@ state, so subproblems that differ only by a relabelling of those indices
 are counted once (semimagic-5-1, the 161280 order-5 Latin squares: 110
 nodes, 408 with these keys at slice entries only and 61,798 with none;
 L(7) takes 27,906 and semimagic-5-2 52,114).  The memo grows with the
-expanded nodes (about 0.04 MB on semimagic-5-1 and 5.5 MB on semimagic-5-2,
-by tracemalloc peak).  The enumerator keeps the plain search: it must
-visit every table.  Desk scale only: the node budget guards against
-accidentally launching an astronomically large search, and so also bounds
-the counter's memo.
+expanded nodes (about 0.04 MB on semimagic-5-1 and 5.5 MB on
+semimagic-5-2, by tracemalloc peak).  The enumerator keeps the plain
+search: it must visit every table.  Desk scale only: the node budget
+guards against accidentally launching an astronomically large search, and
+so also bounds the counter's memo.
 """
 
 from __future__ import annotations
@@ -155,10 +155,11 @@ def _interchangeable(m: MarginalSet) -> bool:
     every margin that holds axis b.  Only then do subproblems that differ by
     a relabelling of indices arise often enough to pay for slice_key.
     Keying every row start on slice_key regardless (timeit, a 2-CPU Linux
-    host) takes the 7 x 7 x 3 desk network from 194 nodes in 2.4 ms to
-    182 in 5.8-6.0 ms, and the 13 ex5 fixtures from 144 nodes in 2.5 ms to
-    130 in 3.3-3.5 ms in all.  At slice entries only, it took the desk network to 186 nodes in
-    5.0 ms and slowed ex5_5 from 0.18 to 0.29 ms; none got faster."""
+    host) takes the 7 x 7 x 3 desk network from 194 nodes in 2.4 ms to 182
+    in 5.8-6.0 ms, and the 13 ex5 fixtures from 144 nodes in 2.5 ms to 130
+    in 3.3-3.5 ms in all.  With keys at slice entries only, it took the
+    desk network to 186 nodes in 5.0 ms and slowed ex5_5 from 0.18 to
+    0.29 ms; none got faster."""
     sizes = m.dims.sizes
     for b in range(1, m.dims.d):
         # one row per index of axis b: its slices of the margins over the

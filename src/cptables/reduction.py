@@ -281,16 +281,16 @@ class TableState:
         / 0 set), then the residual of every line through them, axis by
         axis, at memo_key's width.  The subproblem depends only on these,
         and relabelling the indices of an axis maps it to an isomorphic one
-        with as many completions.  So before the key is
-        written the indices of each axis 1..d-1 are reordered by the state
-        itself: each axis's index slices, holding every cell's free flag
-        and its lines' residuals, are sorted by their bytes, over all those
-        axes, twice.  Two states with equal keys then have the same count;
-        states that differ only by such a relabelling mostly share one.
-        The second pass paid for itself when only slice entries were keyed
-        here: with one, semimagic-5-1 took 532 nodes (408 with two), L(6)
-        7,172 (3,892) and semimagic-5-2 about 8 s (4 s).  A third cut only
-        L(6)'s nodes, to 3,700, and took semimagic-5-2 to about 5.5 s."""
+        with as many completions.  So before the key is written the indices
+        of each axis 1..d-1 are reordered by the state itself: each axis's
+        index slices, holding every cell's free flag and its lines'
+        residuals, are sorted by their bytes, over all those axes, twice.
+        Two states with equal keys then have the same count; states that
+        differ only by such a relabelling mostly share one.  The second
+        pass paid for itself when only slice entries were keyed here: with
+        one, semimagic-5-1 took 532 nodes (408 with two), L(6) 7,172
+        (3,892) and semimagic-5-2 about 8 s (4 s).  A third cut only L(6)'s
+        nodes, to 3,700, and took semimagic-5-2 to about 5.5 s."""
         geo = self.geo
         dtype = np.uint8 if geo.rs_code == "B" else np.uint32
         cells = np.frombuffer(bytes(self.cells), np.uint8).reshape(geo.sizes)

@@ -13,9 +13,10 @@ from cptables.cpdist import UniformBlocks, _columns, _positive, cp_branches
 
 
 def log_esym_table(w, smax):
-    """log R(s, w) for s = 0..smax, -inf where R = 0: the table the draw
-    reads, over the positive weights normalized to max 1, behind the
-    draw's weight check.  The reference the esym tests check."""
+    """log R(s, w) for s = 0..smax, -inf where R = 0, read off the table
+    the draw builds (cpdist._columns over the positive weights normalized
+    to max 1) behind the draw's weight check: the esym tests check both
+    through it."""
     w, pos = _positive(w)
     if smax < 0:
         raise ValueError("smax must be >= 0")
