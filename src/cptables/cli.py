@@ -42,9 +42,9 @@ from .ucinet import UcinetFormatError, parse_ucinet_dl
 
 USAGE_ERROR = 2
 INFEASIBLE = 1
-# `exact`'s default node budget for a count: its memo grows about 100-200
-# MB per million nodes (tracemalloc peak, 106 on semimagic-5-2 and 199 on
-# L(7)), so an unbounded count can exhaust the host's memory
+# `exact`'s default node budget for a count: its memo grows 80-110 MB per
+# million nodes (tracemalloc peak from semimagic-5-2 to L(7)), so an
+# unbounded count can exhaust the host's memory
 # (enumeration keeps no memo; LIMIT bounds what it holds)
 EXACT_BUDGET = 1_000_000
 # the least value of each whole-number option, checked in this order before
@@ -253,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=None,
                     help=f"search node limit; past it the command exits 1.  A "
                     f"count defaults to {EXACT_BUDGET:,} nodes, which also bounds "
-                    "its memo (about 100-200 MB per million nodes) and reports the "
+                    "its memo (about 80-110 MB per million nodes) and reports the "
                     "partial count; --enumerate has no default limit")
     sp.add_argument("--enumerate", type=int, default=None, metavar="LIMIT",
                     help="list up to LIMIT tables instead of counting")

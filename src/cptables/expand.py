@@ -22,7 +22,7 @@ branching ^ depth: inconsistent branches die quickly under propagation.
 Still, keep this to desk-scale problems; max_leaves guards the walk.
 
 The walk is memoized.  Below a node the subtree depends only on the current
-layer, which cells are still free and every line's residual (see
+layer and every line's residual, which fix the free cells (see
 TableState.memo_key).  Keyed by those as bytes, each node is expanded once
 and stored as its edges (branch log probability, the cells the branch sets
 to one, the child node).  A later node with the same key replays the stored
@@ -30,8 +30,7 @@ edges with no propagation, passing the table down as an int with one byte
 per cell.  Replay folds log q edge by edge and emits accepts and rejects in
 the walk's order, so every q, the reject mass, the leaf count and the
 budget checks are bit-for-bit those of the plain walk.  On semimagic-4-2
-the memo holds a few thousand nodes and adds about 3 MB to the 9 MB of
-reached tables.
+the memo and the walk add about 3.5 MB to the 8.9 MB of reached tables.
 """
 
 from __future__ import annotations

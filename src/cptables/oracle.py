@@ -6,24 +6,24 @@ whose residuals turn infeasible is cut immediately.  Counts are plain
 Python integers, so they stay exact at any magnitude.
 
 The counter memoizes: below a node every cell before the cursor is set, so
-the number of completions depends only on which cells from the cursor on
-are free and on the residual margins (see TableState.memo_key).  Keyed by
-those as bytes, each subtree's count is stored when it closes and reused on
-a hit.  When the margins have two interchangeable indices on some axis
-b >= 1 (their slices are equal in every margin that holds axis b), a node
-whose first free cell starts a later last-axis row than its parent's
-(every axis-0 slice entry is such a row start) is keyed instead on
-TableState.slice_key of the slice holding that cell, in a memo of its own:
-the rest of the table with the indices of axes 1..d-1 reordered by the
-state, so subproblems that differ only by a relabelling of those indices
-are counted once (semimagic-5-1, the 161280 order-5 Latin squares: 110
-nodes, 408 with these keys at slice entries only and 61,798 with none;
-L(7) takes 27,906 and semimagic-5-2 52,114).  The memo grows with the
-expanded nodes (about 0.04 MB on semimagic-5-1 and 5.5 MB on
-semimagic-5-2, by tracemalloc peak).  The enumerator keeps the plain
-search: it must visit every table.  Desk scale only: the node budget
-guards against accidentally launching an astronomically large search, and
-so also bounds the counter's memo.
+the number of completions depends only on the residual margins and the
+cursor, which together fix the free cells (see TableState.memo_key).  Keyed
+by those as bytes, each subtree's count is stored when it closes and
+reused on a hit.  When the margins have two interchangeable indices on some
+axis b >= 1 (their slices are equal in every margin that holds axis b), a
+node whose first free cell starts a later last-axis row than its parent's
+(every axis-0 slice entry is such a row start) is keyed instead, in the
+same memo, on TableState.slice_key of the slice holding that cell: the
+residuals of the rest of the table with the indices of axes 1..d-1
+reordered by the state, so subproblems that differ only by a relabelling
+of those indices are counted once (semimagic-5-1, the 161280 order-5 Latin
+squares: 110 nodes, 408 with these keys at slice entries only and 61,798
+with none; L(7) takes 27,906 and semimagic-5-2 52,114).  The memo grows
+with the expanded nodes (tracemalloc peak: about 0.01 MB on semimagic-5-1,
+3.0 MB on L(7) and 4.3 MB on semimagic-5-2; tools/exact_reach.py measures
+these).  The enumerator keeps the plain search: it must visit every table.
+Desk scale only: the node budget guards against accidentally launching an
+astronomically large search, and so also bounds the counter's memo.
 """
 
 from __future__ import annotations
@@ -64,20 +64,21 @@ def exact_count(m: MarginalSet, budget: int | None = None) -> int:
     width = row = ncells
     if _interchangeable(m):
         width, row = ncells // m.dims.sizes[0], m.dims.sizes[-1]
+    # one memo for both keys: a memo_key (every line's residual, then the
+    # cursor in 4 bytes) is at least 4 bytes longer than any slice_key
     memo: dict[bytes, int] = {}
-    slice_memo: dict[bytes, int] = {}  # row starts, on slice_key
     count = nodes = 0
-    # explicit stack of (cursor, next_value, trail_mark, memo, key, count on
+    # explicit stack of (cursor, next_value, trail_mark, key, count on
     # entry); a frame's subtree count is the growth of `count` while it is
     # open.  The root's key b"" is never looked up.
-    stack = [(cursor, 0, state.mark(), memo, b"", 0)]
+    stack = [(cursor, 0, state.mark(), b"", 0)]
     while stack:
-        cursor, value, mark, table, key, entry = stack.pop()
+        cursor, value, mark, key, entry = stack.pop()
         if value > 1:
-            table[key] = count - entry
+            memo[key] = count - entry
             state.undo_to(mark)
             continue
-        stack.append((cursor, value + 1, mark, table, key, entry))
+        stack.append((cursor, value + 1, mark, key, entry))
         nodes += 1
         if budget is not None and nodes > budget:
             raise EnumerationBudgetError(nodes, count)
@@ -87,12 +88,12 @@ def exact_count(m: MarginalSet, budget: int | None = None) -> int:
             count += 1
         elif nxt >= 0:
             if nxt // row > cursor // row:  # a row start (slice entries too)
-                table, key = slice_memo, state.slice_key(nxt // width)
+                key = state.slice_key(nxt // width)
             else:
-                table, key = memo, state.memo_key(nxt)  # its length pins the cursor
-            hit = table.get(key)
+                key = state.memo_key(nxt)
+            hit = memo.get(key)
             if hit is None:
-                stack.append((nxt, 0, branch_mark, table, key, count))
+                stack.append((nxt, 0, branch_mark, key, count))
                 continue
             count += hit
         state.undo_to(branch_mark)

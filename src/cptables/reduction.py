@@ -54,8 +54,6 @@ import numpy as np
 from .tables import MarginalSet
 
 FREE = 255  # a free cell's value: one byte, and -1 read as int8
-# memo keys mark free cells with 1 and set cells with 0
-_FREE = bytes(FREE) + b"\x01"
 
 
 class _Geometry:
@@ -261,52 +259,53 @@ class TableState:
 
     def memo_key(self, start: int = 0) -> bytes:
         """A search node's identity, the exact counter's and the path
-        expander's memo key: every line's residual (in [0, line length] at
-        a fixpoint) at one fixed width, so the key's length pins `start`,
-        then the cells from `start` on as 1 free / 0 set.  Below a fixpoint
-        whose cells before `start` are all set, the subtree depends only on
-        these: a placed value acts on the search only through its lines'
-        residuals, and a line's zeros left are its free cells minus its
-        residual.  The expander puts its walk's layer in front.  bytes()
-        builds each part but residuals of lines of 256 cells or more."""
+        expander's memo key (the expander puts its walk's layer in front):
+        every line's residual at one fixed width, then `start` in 4 bytes.
+        Below a fixpoint whose cells before `start` are all set, the subtree
+        depends only on these.  A placed value acts on the search only
+        through its lines' residuals, and a cell from `start` on is free
+        exactly when all of its lines have residual > 0: only propagation
+        and draws, which fill whole lines, set it, and at a fixpoint a line
+        with residual 0 has no free cell.  bytes() builds the residuals but
+        for lines of 256 cells or more."""
         rs = self.rs
         head = bytes(rs) if self.geo.rs_code == "B" else array("I", rs).tobytes()
-        return head + bytes(self.cells[start:]).translate(_FREE)
+        return head + start.to_bytes(4, "little")
 
     def slice_key(self, first: int) -> bytes:
-        """The exact counter's key for a node whose cells before axis-0
-        slice `first` are all set (it keys the nodes that enter a slice or
-        start a last-axis row inside one, the set cells of slice `first`
-        reading 0): the free pattern of the slices from `first` on (1 free
-        / 0 set), then the residual of every line through them, axis by
-        axis, at memo_key's width.  The subproblem depends only on these,
-        and relabelling the indices of an axis maps it to an isomorphic one
-        with as many completions.  So before the key is written the indices
-        of each axis 1..d-1 are reordered by the state itself: each axis's
-        index slices, holding every cell's free flag and its lines'
-        residuals, are sorted by their bytes, over all those axes, twice.
-        Two states with equal keys then have the same count; states that
-        differ only by such a relabelling mostly share one.  The second
-        pass paid for itself when only slice entries were keyed here: with
-        one, semimagic-5-1 took 532 nodes (408 with two), L(6) 7,172
-        (3,892) and semimagic-5-2 about 8 s (4 s).  A third cut only L(6)'s
+        """The exact counter's key for a node whose first free cell starts
+        a last-axis row in axis-0 slice `first` or later: the residual of
+        every line through the slices from `first` on, axis by axis, at
+        memo_key's width.  Their cells before the cursor fill whole rows, of
+        residual 0, so there too a cell is free exactly when all of its
+        lines have residual > 0 (see memo_key) and the residuals fix the
+        subproblem.  Relabelling the indices of an axis maps it to an
+        isomorphic one with as many completions, so before the key is
+        written the indices of each axis 1..d-1 are reordered by the state:
+        each axis's index slices, holding every cell's free flag and its
+        lines' residuals, are sorted by their bytes, over all those axes,
+        twice.  Two states with equal keys then have the same count; states
+        that differ only by such a relabelling mostly share one.  Without
+        the flag the sort picks other relabellings: semimagic-5-2 takes
+        55,602 nodes, not 52,114.  With slice entries alone keyed here, one
+        pass took semimagic-5-1 to 532 nodes (408 with two), L(6) 7,172
+        (3,892) and semimagic-5-2 about 8 s (4 s); a third cut only L(6)'s
         nodes, to 3,700, and took semimagic-5-2 to about 5.5 s."""
         geo = self.geo
         dtype = np.uint8 if geo.rs_code == "B" else np.uint32
-        cells = np.frombuffer(bytes(self.cells), np.uint8).reshape(geo.sizes)
         # per cell of the slices from `first` on: its free flag, then the
         # residual of each of its d lines
+        res = np.array(self.rs, dtype)[geo.line_grid[first:]]
         grid = np.concatenate(
-            ((cells[first:, ..., None] == FREE).astype(dtype),
-             np.array(self.rs, dtype)[geo.line_grid[first:]]), axis=-1)
+            ((res > 0).all(-1, keepdims=True).astype(dtype), res), axis=-1)
         for _ in range(2):
             for b in range(1, geo.d):
                 rows = [r.tobytes() for r in grid.swapaxes(0, b)]
                 grid = grid.take(sorted(range(len(rows)), key=rows.__getitem__),
                                  axis=b)
         # each axis-a line crosses index 0 of axis a once
-        return b"".join([grid[..., 0].astype(np.uint8).tobytes()] + [
-            grid[..., a + 1].take(0, axis=a).tobytes() for a in range(geo.d)])
+        return b"".join([grid[..., a + 1].take(0, axis=a).tobytes()
+                         for a in range(geo.d)])
 
     def cells_array(self) -> np.ndarray:
         """The cells as a read-only int8 array of the table's shape, a

@@ -116,13 +116,20 @@ def test_semimagic_count_with_many_memo_hits():
     assert exact_count(semimagic_margins(5, 2)) == 25_509_317_760
 
 
-def test_memo_keys_on_the_free_pattern_not_the_set_values():
-    # keyed on free cells and residuals the count expands 270 nodes;
-    # keying memo_key on the set cells' values as well takes 278
-    assert exact_count(fixture("semimagic-4-2"), budget=275) == 51678
-    with pytest.raises(EnumerationBudgetError) as err:
-        exact_count(fixture("semimagic-4-2"), budget=269)
-    assert err.value.nodes == 270
+def test_memo_keys_on_residuals_not_the_set_values():
+    # keyed on residuals (and memo_key on the cursor) the counts expand
+    # 270, 110 and 958 nodes.  Keying memo_key on the set cells' values as
+    # well takes semimagic-4-2 to 278; keying slice_key on them too (each
+    # cell's value leading it in the sort and written in the key) takes
+    # the three to 332, 118 and 1148.  Each passing budget sits between
+    for m, count, nodes, budget in (
+            (fixture("semimagic-4-2"), 51678, 270, 275),
+            (semimagic_margins(5, 1), 161280, 110, 114),
+            (semimagic_margins(6, 1), 812_851_200, 958, 1050)):
+        assert exact_count(m, budget=budget) == count
+        with pytest.raises(EnumerationBudgetError) as err:
+            exact_count(m, budget=nodes - 1)
+        assert err.value.nodes == nodes
 
 
 def test_inputs_without_interchangeable_indices_keep_the_plain_memo():
@@ -274,8 +281,53 @@ def test_slice_keys_write_wide_residuals_in_full():
         assert state.geo.rs_code == "I"
         assert state.cells.index(FREE) == 300  # row 0 set, rows 1 and 2 free
         keys.append(state.slice_key(1))
+    # the key is the residuals alone, four bytes each: 300 column lines
+    # and the two rows from slice 1 on
     assert keys[0] != keys[1]
-    assert len(keys[0]) == 2 * 300 + 4 * (300 + 2)
+    assert len(keys[0]) == 4 * (300 + 2)
+
+
+def test_keyed_states_have_free_cells_where_every_line_is_open(monkeypatch):
+    # the keys leave out the cells: at every keyed state of the counter
+    # and the expander, a cell from the key's start on (the cursor for
+    # memo_key, slice `first`'s first cell for slice_key) is free exactly
+    # when all of its lines have residual > 0.  Seeded tables of d = 2, 3
+    # and 4: per d one random table and three with interchangeable indices
+    # (which open the counter's slice keys); both presets, every layer
+    # axis of the three-way ones
+    calls = {"memo_key": 0, "slice_key": 0}
+    memo_key, slice_key = TableState.memo_key, TableState.slice_key
+
+    def check(state, start, kind):
+        geo = state.geo
+        free = np.array(state.cells) == FREE
+        open_ = (np.array(state.rs)[geo.line_grid] > 0).all(-1).ravel()
+        assert np.array_equal(free[start:], open_[start:])
+        calls[kind] += 1
+
+    def checked_memo_key(self, start=0):
+        check(self, start, "memo_key")
+        return memo_key(self, start)
+
+    def checked_slice_key(self, first):
+        check(self, first * (self.geo.ncells // self.geo.sizes[0]), "slice_key")
+        return slice_key(self, first)
+
+    monkeypatch.setattr(TableState, "memo_key", checked_memo_key)
+    monkeypatch.setattr(TableState, "slice_key", checked_slice_key)
+    rng = np.random.default_rng(28)
+    for d, sizes in ((2, (5, 6)), (3, (3, 4, 5)), (4, (2, 3, 2, 3))):
+        tables = [(rng.random(sizes) < 0.5).astype(np.int8)]
+        tables += [_symmetric_table(rng, d) for _ in range(3)]
+        for i, cells in enumerate(tables):
+            m = marginals_of(BinaryTable.from_array(cells))
+            assert i == 0 or _interchangeable(m)
+            exact_count(m)
+            for axis in range(3 if d == 3 else 1):
+                for proposal in PROPOSALS:
+                    expand_paths(m, layer_axis=axis, proposal=proposal)
+    assert calls["memo_key"] > 2000
+    assert calls["slice_key"] > 100
 
 
 def test_latin_square_counts():

@@ -1,5 +1,6 @@
 from array import array
 from collections import deque
+import struct
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -163,22 +164,22 @@ def test_line_id_is_consistent_with_geometry():
             assert geo.cell_lines[cid][axis] == lid
 
 
-def test_memo_key_packs_residuals_then_the_free_pattern():
+def test_memo_key_packs_residuals_then_the_start():
     narrow = TableState.from_marginals(fixture("ex5_2"))
     nlines = narrow.geo.nlines
     key = narrow.memo_key()
     assert array("B", key[:nlines]).tolist() == narrow.rs
-    assert key[nlines:] == bytes([1]) * narrow.geo.ncells
-    # set cells read 0 whatever their value; a nonzero start drops the
-    # cells before it, so the key's length pins the start
+    assert key[nlines:] == bytes(4)
+    # the cells are not read: set values leave the key as it was; the
+    # start follows the residuals as 4 little-endian bytes
     narrow.cells[3] = 1
     narrow.cells[5] = 0
-    assert narrow.memo_key()[nlines:] == bytes([1, 1, 1, 0, 1, 0]
-                                                + [1] * (narrow.geo.ncells - 6))
+    assert narrow.memo_key() == key
     tail = narrow.memo_key(4)
-    assert len(tail) == nlines + narrow.geo.ncells - 4
+    assert len(tail) == nlines + 4
     assert tail[:nlines] == key[:nlines]
-    assert tail[nlines:] == narrow.memo_key()[nlines + 4:]
+    assert tail[nlines:] == bytes([4, 0, 0, 0])
+    assert narrow.memo_key(300)[nlines:] == bytes([44, 1, 0, 0])
     # a 300 x 2 table has lines of 300 cells: residuals up to 300 need a
     # wider code, and still unpack to the residuals
     cells = np.zeros((300, 2), dtype=np.int8)
@@ -190,16 +191,16 @@ def test_memo_key_packs_residuals_then_the_free_pattern():
     assert array(code).itemsize >= 2
     width = wide.geo.nlines * array(code).itemsize
     packed = wide.memo_key(wide.geo.ncells)
-    assert len(packed) == width
-    assert array(code, packed).tolist() == wide.rs
-    assert wide.memo_key()[width:] == bytes([1]) * wide.geo.ncells
+    assert len(packed) == width + 4
+    assert array(code, packed[:width]).tolist() == wide.rs
+    assert packed[width:] == wide.geo.ncells.to_bytes(4, "little")
 
 
 def _reference_memo_key(state, start):
     """The memo key spelled out: the residuals at the shape's width, then
-    one byte per cell from start on, 1 if free and 0 if set."""
+    start as a 4-byte little-endian number."""
     return (array(state.geo.rs_code, state.rs).tobytes()
-            + bytes(1 if v == FREE else 0 for v in state.cells[start:]))
+            + struct.pack("<I", start))
 
 
 def test_memo_key_matches_a_reference_on_random_partial_states():
